@@ -66,12 +66,24 @@ impl std::fmt::Display for DegradationLevel {
     }
 }
 
-/// Runs the SPCF engine ladder: exact short-path → node-based
-/// over-approximation → guard-everything, stepping down only when the
-/// budget is exhausted. Each rung starts from a fresh BDD manager so a
-/// blown-up rung leaves no memory behind. Every rung dispatches through
-/// the engine-session driver, so `jobs > 1` shards critical outputs
-/// across workers with no effect on the result (DESIGN.md §8).
+impl From<Algorithm> for DegradationLevel {
+    /// The level a run landed on, given the algorithm that succeeded.
+    fn from(algorithm: Algorithm) -> Self {
+        match algorithm {
+            Algorithm::ShortPath | Algorithm::PathBased => DegradationLevel::Exact,
+            Algorithm::NodeBased => DegradationLevel::NodeBased,
+            Algorithm::Conservative => DegradationLevel::Conservative,
+        }
+    }
+}
+
+/// Runs the SPCF engine ladder from the exact short-path engine down
+/// [`Algorithm::fallback`] (node-based over-approximation, then
+/// guard-everything), stepping down only when the budget is exhausted.
+/// Each rung starts from a fresh BDD manager so a blown-up rung leaves
+/// no memory behind. Every rung dispatches through the engine-session
+/// driver, so `jobs > 1` shards critical outputs across workers with no
+/// effect on the result (DESIGN.md §8).
 fn spcf_ladder(
     netlist: &Netlist,
     sta: &Sta<'_>,
@@ -80,36 +92,34 @@ fn spcf_ladder(
     jobs: usize,
 ) -> (Bdd, SpcfSet, DegradationLevel) {
     let num_vars = netlist.inputs().len().max(1);
-    let options = SpcfOptions::default().with_jobs(jobs).with_budget(budget);
-    let rungs = [
-        (Algorithm::ShortPath, DegradationLevel::Exact, "resilience.fallback.node_based", "short-path", "node-based"),
-        (Algorithm::NodeBased, DegradationLevel::NodeBased, "resilience.fallback.conservative", "node-based", "guard-everything"),
-    ];
-    for (algorithm, level, fallback_counter, name, next) in rungs {
+    let mut algorithm = Algorithm::ShortPath;
+    loop {
+        // The guard-everything floor does no budgeted work; run it
+        // serial and unlimited.
+        let options = match algorithm.fallback() {
+            Some(_) => SpcfOptions::default().with_jobs(jobs).with_budget(budget),
+            None => SpcfOptions::default(),
+        };
         let mut bdd = Bdd::new(num_vars);
-        match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, &options) {
-            Ok(spcf) => return (bdd, spcf, level),
-            Err(e) => {
-                tm_telemetry::counter_add(fallback_counter, 1);
-                if tm_telemetry::trace_level() >= 2 {
-                    eprintln!("[synth] {name} SPCF: {e}; falling back to {next}");
-                }
-            }
+        let e = match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, &options) {
+            Ok(spcf) => return (bdd, spcf, algorithm.into()),
+            Err(e) => e,
+        };
+        let next = algorithm
+            .fallback()
+            .expect("the guard-everything engine performs no budgeted work");
+        tm_telemetry::counter_add(
+            match next {
+                Algorithm::NodeBased => "resilience.fallback.node_based",
+                _ => "resilience.fallback.conservative",
+            },
+            1,
+        );
+        if tm_telemetry::trace_level() >= 2 {
+            eprintln!("[synth] {algorithm} SPCF: {e}; falling back to {next}");
         }
+        algorithm = next;
     }
-    // The guard-everything rung does no budgeted work; run it serial
-    // and unlimited.
-    let mut bdd = Bdd::new(num_vars);
-    let spcf = try_spcf_with(
-        Algorithm::Conservative,
-        netlist,
-        sta,
-        &mut bdd,
-        target,
-        &SpcfOptions::default(),
-    )
-    .expect("the guard-everything engine performs no budgeted work");
-    (bdd, spcf, DegradationLevel::Conservative)
 }
 
 /// Everything `synthesize` produces: the design, the SPCFs (with their

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use tm_testkit::rng::Rng;
+use tm_testkit::rng::{fnv1a64, Rng};
 
 use crate::{Exhausted, Resource, TmError};
 
@@ -276,16 +276,6 @@ impl FaultSpec {
     pub fn is_empty(&self) -> bool {
         self.arms.iter().all(Option::is_none)
     }
-}
-
-/// FNV-1a 64-bit, used to derive per-site PRNG streams from one seed.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 struct SiteState {

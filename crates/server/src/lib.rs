@@ -13,8 +13,8 @@
 //! - [`protocol`]: the frame codec (u32 big-endian length prefix +
 //!   UTF-8 JSON payload) and typed request parsing. Malformed input of
 //!   every kind maps to a typed error frame, never a panic.
-//! - [`pool`]: [`pool::PooledSession`] (a circuit's BDD manager, STA,
-//!   and per-algorithm engine slots) and [`pool::SessionPool`] (strict
+//! - [`pool`]: [`pool::PooledSession`] (a circuit's netlist, BDD
+//!   manager, and warm SPCF state) and [`pool::SessionPool`] (strict
 //!   LRU keyed by an FNV-1a hash of the canonicalized BLIF).
 //! - [`serve`]: [`serve::ServeCore`], the transport-free request
 //!   engine — verb dispatch, request coalescing, the degradation

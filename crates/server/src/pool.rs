@@ -1,21 +1,15 @@
 //! The warm-session pool: reusable per-circuit engine state keyed by
 //! netlist hash, with LRU eviction (DESIGN.md §10).
 //!
-//! A [`PooledSession`] is the owning counterpart of
-//! [`tm_spcf::WarmSession`]: where the borrow-based session lives
-//! inside one call frame, the pooled session owns its netlist, BDD
-//! manager, gate primes, global functions, and one engine per
-//! algorithm, so it can sit in a long-lived pool and serve request
-//! after request. Reuse preserves the warm-session contract:
-//!
-//! - the manager, primes, and globals are target-independent and are
-//!   always reused;
-//! - each algorithm's engine is reused across *descending* Δ_y steps
-//!   (the monotonic-memo fast path) and **rebuilt** on an ascending
-//!   step — the server-path half of the unsorted-ladder fix, mirroring
-//!   `WarmSession`;
-//! - a budget-exhausted or panicked computation discards the engine
-//!   (its prepared state may be partial), never the session.
+//! A [`PooledSession`] is the owning holder of a [`tm_spcf::WarmState`]
+//! — the warm-session protocol that [`tm_spcf::WarmSession`] borrows
+//! inside one call frame. The pooled session owns its netlist and BDD
+//! manager next to the state, so it can sit in a long-lived pool and
+//! serve request after request under the same contract: the manager,
+//! primes and globals are always reused; each algorithm's engine rides
+//! *descending* Δ_y steps and is rebuilt on an ascending one; and a
+//! budget-exhausted or panicked computation discards the engine (its
+//! prepared state may be partial), never the session.
 //!
 //! [`SessionPool`] keys sessions by FNV-1a over the *canonicalized*
 //! BLIF (parse → [`tm_netlist::blif::write_blif`]), so textually
@@ -26,7 +20,6 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use tm_logic::bdd::BddRef;
 use tm_logic::Bdd;
 use tm_netlist::blif::write_blif;
 use tm_netlist::library::Library;
@@ -34,19 +27,8 @@ use tm_netlist::map::{tech_map, MapOptions};
 use tm_netlist::sop_network::SopNetwork;
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{Budget, Exhausted, TmError};
-use tm_spcf::engine::{critical_outputs, engine_for, EngineCx, SpcfEngine};
-use tm_spcf::{Algorithm, GatePrimes, LazyGlobals, OutputSpcf, SpcfSet};
+use tm_spcf::{Algorithm, SpcfSet, WarmState};
 use tm_sta::Sta;
-
-/// FNV-1a 64-bit hash — the pool key over canonicalized BLIF.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Canonicalizes a parsed BLIF network back to text. Hashing this —
 /// not the submitted bytes — makes the pool key insensitive to
@@ -58,34 +40,18 @@ pub fn canonical_blif(sop: &SopNetwork) -> String {
 /// Locks a mutex, recovering the guard if a previous holder panicked —
 /// a long-running server must not let one poisoned request wedge every
 /// later one. Session state is re-validated by the engine-discard
-/// policy in [`PooledSession::compute`].
+/// policy of [`WarmState::try_point`].
 pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn algo_index(algorithm: Algorithm) -> usize {
-    match algorithm {
-        Algorithm::ShortPath => 0,
-        Algorithm::PathBased => 1,
-        Algorithm::NodeBased => 2,
-        Algorithm::Conservative => 3,
-    }
-}
-
-struct EngineSlot {
-    engine: Box<dyn SpcfEngine + Send>,
-    last_target: Option<Delay>,
-}
-
-/// One circuit's warm serving state: netlist, BDD manager, and one
-/// engine per algorithm, reusable across requests (see module docs).
+/// One circuit's warm serving state: the mapped netlist, its BDD
+/// manager, and a [`WarmState`] holding one engine per algorithm,
+/// reusable across requests (see module docs).
 pub struct PooledSession {
     netlist: Arc<Netlist>,
     bdd: Bdd,
-    primes: GatePrimes,
-    globals: LazyGlobals,
-    slots: [Option<EngineSlot>; 4],
-    computes: u64,
+    state: WarmState,
 }
 
 impl PooledSession {
@@ -104,16 +70,9 @@ impl PooledSession {
 
     /// Wraps an already-mapped netlist (test entry point).
     pub fn from_netlist(netlist: Arc<Netlist>) -> PooledSession {
-        let num_inputs = netlist.inputs().len();
-        let globals = LazyGlobals::new(&netlist);
-        PooledSession {
-            netlist,
-            bdd: Bdd::new(num_inputs),
-            primes: GatePrimes::new(),
-            globals,
-            slots: [None, None, None, None],
-            computes: 0,
-        }
+        let bdd = Bdd::new(netlist.inputs().len());
+        let state = WarmState::new(&netlist);
+        PooledSession { netlist, bdd, state }
     }
 
     /// The mapped circuit this session serves.
@@ -140,181 +99,41 @@ impl PooledSession {
 
     /// Total memo entries across the session's warm engines.
     pub fn memo_entries(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| s.engine.memo_entries())
-            .fold(0, u64::saturating_add)
+        self.state.memo_entries()
     }
 
     /// Requests served by this session.
     pub fn computes(&self) -> u64 {
-        self.computes
+        self.state.points()
     }
 
-    /// Every [`BddRef`] the session's caches pin across requests: the
-    /// lazily built global net functions plus whatever each resident
-    /// engine reports (stabilization memos, waveforms, on-time tables).
-    fn capacity_roots(&self) -> Vec<BddRef> {
-        let mut roots = Vec::new();
-        self.globals.collect_roots(&mut roots);
-        for slot in self.slots.iter().flatten() {
-            slot.engine.collect_roots(&mut roots);
-        }
-        roots
-    }
-
-    /// Mark-and-sweep of the session manager rooted at the session's
-    /// live refs, with store compaction; every cached ref is rewritten
-    /// through the remap. Returns nodes reclaimed.
-    pub fn gc(&mut self) -> u64 {
-        let before = self.bdd.node_count();
-        let roots = self.capacity_roots();
-        let remap = self.bdd.gc(&roots);
-        self.globals.remap_refs(&remap);
-        for slot in self.slots.iter_mut().flatten() {
-            slot.engine.remap_refs(&remap);
-        }
-        (before - self.bdd.node_count()) as u64
-    }
-
-    /// Full capacity maintenance: GC, then Rudell sifting when the
-    /// store has outgrown the reorder heuristic. Returns total nodes
-    /// reclaimed.
-    pub fn maintain(&mut self) -> u64 {
-        let before = self.bdd.node_count();
-        self.gc();
-        if self.bdd.should_reorder() {
-            let roots = self.capacity_roots();
-            let remap = self.bdd.reorder(&roots);
-            self.globals.remap_refs(&remap);
-            for slot in self.slots.iter_mut().flatten() {
-                slot.engine.remap_refs(&remap);
-            }
-        }
-        before.saturating_sub(self.bdd.node_count()) as u64
-    }
-
-    /// Between-request watermark check: runs maintenance when the
-    /// manager's live store is at or above `watermark` nodes. Returns
-    /// nodes reclaimed (0 when below the watermark). Publishes the
-    /// manager's counter deltas so `bdd.gc.*` / `bdd.reorder.*` land in
-    /// the serving thread's registry (folded into the `stats` verb).
+    /// Between-request watermark check: runs [`WarmState::maintain`]
+    /// when the manager's live store is at or above `watermark` nodes.
+    /// Returns nodes reclaimed (0 when below the watermark). Publishes
+    /// the manager's counter deltas so `bdd.gc.*` / `bdd.reorder.*`
+    /// land in the serving thread's registry (folded into the `stats`
+    /// verb).
     pub fn maybe_gc(&mut self, watermark: u64) -> u64 {
         if self.node_count() >= watermark {
-            let reclaimed = self.maintain();
+            let reclaimed = self.state.maintain(&mut self.bdd);
             self.bdd.publish_metrics();
-            reclaimed
+            reclaimed as u64
         } else {
             0
         }
     }
 
     /// Evaluates the SPCF of every output critical at `target` under
-    /// `budget`, reusing warm state where the ladder contract allows:
-    /// an ascending Δ_y step rebuilds the algorithm's engine instead of
-    /// trusting its retarget fast path (the server-side unsorted-ladder
-    /// fix), and an exhausted or panicked run discards the engine so
-    /// partial prepared state can never leak into the next request.
-    ///
-    /// A *node*-budget exhaustion gets one recovery attempt: the failed
-    /// engine was already discarded, so a GC round (plus sifting when
-    /// the store ballooned) reclaims its dead intermediates and refunds
-    /// them to the budget before a single retry from a fresh engine.
-    /// Step or memo exhaustion propagates immediately — the caller's
-    /// degradation ladder owns that path.
+    /// `budget` — one [`WarmState::try_point`], with its ascending-step
+    /// engine rebuild, empty-slot panic safety and node-budget recovery.
     pub fn compute(
         &mut self,
         algorithm: Algorithm,
         target: Delay,
         budget: Budget,
     ) -> Result<SpcfSet, Exhausted> {
-        self.computes += 1;
-        match self.compute_attempt(algorithm, target, budget) {
-            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
-                self.maintain();
-                self.compute_attempt(algorithm, target, budget)
-            }
-            r => r,
-        }
-    }
-
-    fn compute_attempt(
-        &mut self,
-        algorithm: Algorithm,
-        target: Delay,
-        budget: Budget,
-    ) -> Result<SpcfSet, Exhausted> {
-        let start = Instant::now();
-        let idx = algo_index(algorithm);
-        // Take the engine out for the duration of the run: a panic
-        // unwinding through `compute` leaves the slot empty, so the
-        // next request starts from a fresh engine, not a half-prepared
-        // one.
-        let slot = match self.slots[idx].take() {
-            Some(slot) if slot.last_target.is_some_and(|prev| target > prev) => {
-                // Ascending step: outside the monotonic-reuse contract.
-                tm_telemetry::counter_add("spcf.session.rebuilds", 1);
-                None
-            }
-            other => other,
-        };
-        let mut slot = slot.unwrap_or_else(|| EngineSlot {
-            engine: engine_for(algorithm),
-            last_target: None,
-        });
-        slot.last_target = Some(target);
-
-        // Fault-injection site: an armed `compute.panic` unwinds here,
-        // after the slot was taken out — exercising exactly the
-        // panic-recovery path the empty-slot design exists for.
-        tm_resilience::fault::compute_panic_check();
-
         let sta = Sta::new(&self.netlist);
-        let targets = critical_outputs(&self.netlist, &sta, target);
-        let prev_budget = self.bdd.budget();
-        self.bdd.set_budget(budget);
-        tm_telemetry::counter_add("spcf.session.retargets", 1);
-        let result = {
-            let mut cx = EngineCx {
-                netlist: &self.netlist,
-                sta: &sta,
-                target,
-                budget,
-                bdd: &mut self.bdd,
-                primes: &mut self.primes,
-                globals: &mut self.globals,
-            };
-            let retargeted = {
-                let _phase = tm_telemetry::flight::phase_with(
-                    "spcf.prepare",
-                    &[("targets", targets.len() as f64)],
-                );
-                slot.engine.retarget(&mut cx, &targets)
-            };
-            retargeted.and_then(|()| {
-                let mut outputs = Vec::with_capacity(targets.len());
-                for &o in &targets {
-                    let spcf = {
-                        let _phase = tm_telemetry::flight::phase_with(
-                            "spcf.output",
-                            &[("net", o.index() as f64)],
-                        );
-                        slot.engine.compute_output(&mut cx, o)?
-                    };
-                    outputs.push(OutputSpcf { output: o, spcf });
-                }
-                Ok(outputs)
-            })
-        };
-        self.bdd.set_budget(prev_budget);
-        match result {
-            Ok(outputs) => {
-                self.slots[idx] = Some(slot);
-                Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
-            }
-            Err(e) => Err(e), // slot stays empty: rebuild on next use
-        }
+        self.state.try_point(algorithm, &sta, &mut self.bdd, target, budget)
     }
 }
 
@@ -474,14 +293,6 @@ mod tests {
         let lib = Arc::new(lsi10k_like());
         let spec = GeneratorSpec::sized(format!("pool_{i}"), 6, 2, 12);
         PooledSession::from_netlist(Arc::new(generate(&spec, lib)))
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

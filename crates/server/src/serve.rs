@@ -29,7 +29,7 @@
 //! follower the leader's frames, which are the same bytes by the same
 //! argument.
 
-use crate::pool::{canonical_blif, fnv1a64, lock_recover, PoolStats, PooledSession, SessionPool};
+use crate::pool::{canonical_blif, lock_recover, PoolStats, PooledSession, SessionPool};
 use crate::protocol::{error_frame, error_frame_for, Request};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,6 +44,7 @@ use tm_spcf::{Algorithm, SpcfSet};
 use tm_telemetry::flight;
 use tm_telemetry::Snapshot;
 use tm_testkit::json::Json;
+use tm_testkit::rng::fnv1a64;
 
 /// Serving configuration. `ServeConfig::default()` is sized for tests;
 /// the daemon derives load thresholds from `--workers` (see
@@ -442,9 +443,9 @@ impl ServeCore {
         // allows right now.
         let inflight = self.gate.in_flight();
         let algorithm = if inflight > self.config.degrade_conservative_at {
-            degrade_to(requested, Algorithm::Conservative, true)
+            degrade_to(requested, Algorithm::Conservative)
         } else if inflight > self.config.degrade_node_based_at {
-            degrade_to(requested, Algorithm::NodeBased, true)
+            degrade_to(requested, Algorithm::NodeBased)
         } else {
             requested
         };
@@ -459,10 +460,8 @@ impl ServeCore {
                 loop {
                     match session.compute(rung, target, self.config.budget) {
                         Ok(set) => break Ok(set),
-                        Err(e) => match next_rung(rung) {
-                            Some(next) => {
-                                rung = degrade_to(rung, next, true);
-                            }
+                        Err(e) => match rung.fallback() {
+                            Some(next) => rung = degrade_to(rung, next),
                             None => break Err(e),
                         },
                     }
@@ -633,38 +632,18 @@ impl ServeCore {
     }
 }
 
-/// The degradation rank of an algorithm: exact engines (0) degrade to
-/// node-based (1) and then conservative (2).
-fn rank(algorithm: Algorithm) -> u8 {
-    match algorithm {
-        Algorithm::ShortPath | Algorithm::PathBased => 0,
-        Algorithm::NodeBased => 1,
-        Algorithm::Conservative => 2,
-    }
-}
-
-/// The next cheaper rung, or `None` from the guard-everything floor.
-fn next_rung(algorithm: Algorithm) -> Option<Algorithm> {
-    match rank(algorithm) {
-        0 => Some(Algorithm::NodeBased),
-        1 => Some(Algorithm::Conservative),
-        _ => None,
-    }
-}
-
-/// Degrades `from` to at least `floor`, counting the step when it is a
-/// real downgrade and `count` is set.
-fn degrade_to(from: Algorithm, floor: Algorithm, count: bool) -> Algorithm {
-    if rank(from) >= rank(floor) {
+/// Degrades `from` to `floor` when `floor` lies below it on the
+/// [`Algorithm::fallback`] ladder, counting the step; a `from` already
+/// at or below `floor` stays as it is.
+fn degrade_to(from: Algorithm, floor: Algorithm) -> Algorithm {
+    if !std::iter::successors(from.fallback(), |a| a.fallback()).any(|a| a == floor) {
         return from;
     }
-    if count {
-        match floor {
-            Algorithm::NodeBased => tm_telemetry::counter_add("serve.degrade.node_based", 1),
-            Algorithm::Conservative => tm_telemetry::counter_add("serve.degrade.conservative", 1),
-            _ => {}
-        }
-    }
+    let counter = match floor {
+        Algorithm::NodeBased => "serve.degrade.node_based",
+        _ => "serve.degrade.conservative",
+    };
+    tm_telemetry::counter_add(counter, 1);
     floor
 }
 
@@ -777,6 +756,62 @@ mod tests {
         assert!(snap.counter("serve.degrade.node_based").unwrap_or(0) >= 1);
         assert!(snap.counter("serve.degrade.conservative").unwrap_or(0) >= 1);
         assert_eq!(snap.counter("serve.shed"), None, "degraded, not rejected");
+    }
+
+    #[test]
+    fn served_ladder_publishes_the_warm_session_counters() {
+        // A pooled session runs the same warm-state core as a
+        // `WarmSession`, so a served ladder must publish exactly the
+        // manager and engine counters of a session walking that ladder
+        // on the same mapped netlist from a fresh manager — and a repeat
+        // request only its own deltas.
+        const COUNTERS: [&str; 4] = [
+            "bdd.unique.misses",
+            "spcf.short_path.stab_calls",
+            "spcf.short_path.memo_hit",
+            "spcf.short_path.memo_miss",
+        ];
+        let _scope = tm_telemetry::Scope::enter();
+        let blif = crate::gen::synthetic_blif(7, 12, 40);
+        let ladder = [0.95, 0.85, 0.7];
+
+        let sop = parse_blif(&blif).expect("generated BLIF parses");
+        let library = Arc::new(lsi10k_like());
+        let netlist = tm_netlist::map::tech_map(&sop, library, Default::default());
+        let sta = tm_sta::Sta::new(&netlist);
+        let delta = sta.critical_path_delay();
+        // The counters a fresh session publishes walking the ladder
+        // `requests` times, read after the session is gone.
+        let reference = |requests: usize| {
+            let mut bdd = Bdd::new(netlist.inputs().len());
+            let mut session = tm_spcf::WarmSession::new(
+                Algorithm::ShortPath,
+                &netlist,
+                &sta,
+                &mut bdd,
+                Budget::unlimited(),
+            );
+            for _ in 0..requests {
+                for f in ladder {
+                    session.retarget(delta * f);
+                }
+            }
+            drop(session);
+            let snap = tm_telemetry::drain();
+            COUNTERS.map(|c| snap.counter(c).unwrap_or(0))
+        };
+        let totals = [reference(1), reference(2)];
+        assert!(totals[0].iter().all(|&n| n > 0), "vacuous fixture: {totals:?}");
+
+        let core = ServeCore::new(ServeConfig::default());
+        let req = spcf_request(&blif, "short-path", "[0.95,0.85,0.7]");
+        for (i, expected) in totals.iter().enumerate() {
+            core.handle_payload(req.as_bytes());
+            let snap = core.metrics_snapshot();
+            for (name, &want) in COUNTERS.iter().zip(expected) {
+                assert_eq!(snap.counter(name).unwrap_or(0), want, "request {i}: {name}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,20 @@ pub enum Algorithm {
     Conservative,
 }
 
+impl Algorithm {
+    /// The next cheaper rung of the degradation ladder (DESIGN.md §7):
+    /// the exact engines fall to the node-based over-approximation,
+    /// which falls to guard-everything, the floor. Each rung computes a
+    /// superset of the one above it, so stepping down stays sound.
+    pub fn fallback(self) -> Option<Algorithm> {
+        match self {
+            Algorithm::ShortPath | Algorithm::PathBased => Some(Algorithm::NodeBased),
+            Algorithm::NodeBased => Some(Algorithm::Conservative),
+            Algorithm::Conservative => None,
+        }
+    }
+}
+
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -5,10 +5,12 @@
 //! function per critical primary output — and used to duplicate the
 //! same scaffolding three times: budget install/restore on the shared
 //! BDD manager, gate-prime caches, lazily built global net functions,
-//! telemetry spans, and the criticality filter. [`EngineSession`] owns
-//! that per-run state once; each algorithm shrinks to an [`SpcfEngine`]
-//! implementation answering `compute_output` queries against the
-//! session's [`EngineCx`].
+//! telemetry spans, and the criticality filter. [`WarmState`] owns
+//! that state and the per-point loop once; each algorithm shrinks to an
+//! [`SpcfEngine`] implementation answering `compute_output` queries
+//! against its [`EngineCx`]. Three holders drive it: [`EngineSession`]
+//! for one cold run, [`WarmSession`] for a borrowed Δ_y ladder, and the
+//! serving layer's session pool for an owned one.
 //!
 //! On top of the session sits the parallel driver
 //! ([`try_spcf_with`]): per-output SPCFs are independent, so critical
@@ -103,8 +105,8 @@ pub struct EngineCx<'n, 'c> {
 /// One SPCF algorithm, reduced to its essence: given a prepared
 /// context, produce the SPCF of one critical output.
 ///
-/// Lifecycle (driven by [`EngineSession::run`] and the parallel
-/// workers): `prepare` once with the full list of target outputs (the
+/// Lifecycle (driven by [`WarmState`] and the parallel workers):
+/// `prepare` (or `retarget`) with the full list of target outputs (the
 /// cone-of-influence restriction for topological engines), then
 /// `compute_output` per output in order, then `publish_metrics` —
 /// always, even after an exhaustion, so partial work is visible.
@@ -147,12 +149,11 @@ pub trait SpcfEngine {
         output: NetId,
     ) -> Result<BddRef, Exhausted>;
 
-    /// Publishes the engine's counters (and the manager's ``bdd.*``
-    /// stats) to `tm-telemetry`. Called exactly once per session, after
-    /// the last `compute_output` — succeeded or not.
-    fn publish_metrics(&mut self, cx: &mut EngineCx<'_, '_>) {
-        let _ = cx;
-    }
+    /// Publishes the engine's counters to `tm-telemetry` (the caller
+    /// publishes the manager's `bdd.*` stats). Called after every run —
+    /// each ladder point of a warm engine, succeeded or not — so
+    /// counters must be published as deltas since the previous call.
+    fn publish_metrics(&mut self) {}
 
     /// Lifetime count of the engine's memo-table entries (stabilization
     /// memo, waveform breakpoints). The parallel driver charges its
@@ -238,26 +239,298 @@ pub fn cone_nets(netlist: &Netlist, targets: &[NetId]) -> Vec<bool> {
     in_cone
 }
 
-/// One SPCF run: the state every engine needs, owned in one place.
+/// Installs a budget on a manager for one run; `Drop` restores the
+/// previous budget on every exit path (success, exhaustion, panic).
+struct BudgetScope<'b> {
+    bdd: &'b mut Bdd,
+    prev: Budget,
+}
+
+impl<'b> BudgetScope<'b> {
+    fn install(bdd: &'b mut Bdd, budget: Budget) -> Self {
+        let prev = bdd.budget();
+        bdd.set_budget(budget);
+        BudgetScope { bdd, prev }
+    }
+}
+
+impl Drop for BudgetScope<'_> {
+    fn drop(&mut self) {
+        self.bdd.set_budget(self.prev);
+    }
+}
+
+/// A resident engine of a [`WarmState`] and the target it last served.
+struct EngineSlot {
+    engine: Box<dyn SpcfEngine + Send>,
+    last_target: Delay,
+}
+
+/// The warm-session protocol, owned once: one engine slot per
+/// algorithm, the gate-prime cache and the lazily built global net
+/// functions, queried at a *ladder* of Δ_y targets.
 ///
-/// Construction installs `budget` on the manager; `Drop` restores the
-/// previous budget on every exit path (success, exhaustion, panic) —
-/// the install/restore protocol the engines used to hand-roll.
+/// The protection-band sweep, `table1`/`table2`, the DVS explorer and
+/// the serving pool all evaluate the same circuit at many targets. A
+/// cold run per point rebuilds everything; the warm state keeps what is
+/// target-independent:
+///
+/// - gate primes and lazily built global net functions (and, held by
+///   the caller, the manager's unique table and computed caches);
+/// - the short-path engine's stabilization memo — `stab(s, t, v)` never
+///   mentions Δ_y, so a descending ladder re-derives each point from
+///   memoized stabilization sets. This is the computational face of the
+///   paper's monotonicity `Σ_y(Δ') ⊆ Σ_y(Δ)` for `Δ' ≥ Δ`: tightening
+///   the target only *adds* stabilization queries at earlier times; all
+///   previously answered ones are reused verbatim.
+///
+/// Engines opt into reuse via [`SpcfEngine::retarget`]; engines with
+/// target-dependent state (node-based required times) re-prepare and
+/// still benefit from the warm manager and caches.
+///
+/// The netlist, its timing and the manager are arguments of every call,
+/// so the state can sit in a borrowing holder ([`WarmSession`]) or an
+/// owning one (the serving layer's session pool). Every point installs
+/// its budget on the manager and restores the previous one afterwards,
+/// and publishes engine and manager metrics as deltas, so a holder has
+/// nothing to flush when it goes away.
+pub struct WarmState {
+    primes: GatePrimes,
+    globals: LazyGlobals,
+    /// Indexed by `Algorithm as usize`.
+    slots: [Option<EngineSlot>; 4],
+    points: u64,
+}
+
+impl WarmState {
+    /// An empty state for `netlist`: no engine resident, no primes or
+    /// global functions built yet.
+    pub fn new(netlist: &Netlist) -> WarmState {
+        WarmState {
+            primes: GatePrimes::new(),
+            globals: LazyGlobals::new(netlist),
+            slots: Default::default(),
+            points: 0,
+        }
+    }
+
+    /// Ladder points requested through [`WarmState::try_point`].
+    pub fn points(&self) -> u64 {
+        self.points
+    }
+
+    /// Total memo entries across the resident engines.
+    pub fn memo_entries(&self) -> u64 {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|s| s.engine.memo_entries())
+            .fold(0, u64::saturating_add)
+    }
+
+    /// Evaluates the SPCF of every output critical at `target` with
+    /// `algorithm`, reusing all target-independent state from previous
+    /// points. `sta` analyzes the circuit the state was built for, and
+    /// `bdd` is the manager every earlier point ran in.
+    ///
+    /// Any call order is correct; a *descending* ladder is fastest for
+    /// the exact engines (each tightening extends, rather than
+    /// replaces, the work of the previous point). An *ascending* step
+    /// (target above the previous point) is outside the monotonic-reuse
+    /// contract the engines' `retarget` fast paths were written for, so
+    /// the algorithm's engine is rebuilt from scratch
+    /// (`spcf.session.rebuilds`) — the manager, gate primes and global
+    /// functions are shared across the rebuild, so the cost is bounded
+    /// by one cold `prepare`.
+    ///
+    /// The engine leaves its slot for the duration of the run and goes
+    /// back only on success: an exhausted or panicked run leaves the
+    /// slot empty, so partial prepared state never leaks into the next
+    /// point. When the attempt exhausts the manager's *node* budget, one
+    /// round of [`WarmState::maintain`] reclaims the dead intermediates
+    /// (refunding them to the budget, which charges the manager's
+    /// current size) and the point is retried once under the same
+    /// budget. Step or memo exhaustion is not recoverable by GC and
+    /// propagates immediately (the caller's degradation ladder handles
+    /// it).
+    pub fn try_point(
+        &mut self,
+        algorithm: Algorithm,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+    ) -> Result<SpcfSet, Exhausted> {
+        self.points += 1;
+        match self.attempt(algorithm, sta, bdd, target, budget) {
+            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
+                self.maintain(bdd);
+                self.attempt(algorithm, sta, bdd, target, budget)
+            }
+            r => r,
+        }
+    }
+
+    fn attempt(
+        &mut self,
+        algorithm: Algorithm,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+    ) -> Result<SpcfSet, Exhausted> {
+        let mut engine = match self.slots[algorithm as usize].take() {
+            Some(slot) if target > slot.last_target => {
+                tm_telemetry::counter_add("spcf.session.rebuilds", 1);
+                engine_for(algorithm)
+            }
+            Some(slot) => slot.engine,
+            None => engine_for(algorithm),
+        };
+        // Fault-injection site: an armed `compute.panic` unwinds here,
+        // after the engine left its slot — exercising exactly the
+        // panic-recovery path the empty slot exists for.
+        tm_resilience::fault::compute_panic_check();
+        tm_telemetry::counter_add("spcf.session.retargets", 1);
+        let set = self.run(engine.as_mut(), sta, bdd, target, budget)?;
+        self.slots[algorithm as usize] = Some(EngineSlot { engine, last_target: target });
+        Ok(set)
+    }
+
+    /// Runs `engine` over every output critical at `target` (see
+    /// [`WarmState::run_outputs`]).
+    fn run(
+        &mut self,
+        engine: &mut dyn SpcfEngine,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+    ) -> Result<SpcfSet, Exhausted> {
+        let start = Instant::now();
+        let targets = critical_outputs(sta.netlist(), sta, target);
+        let outputs = self.run_outputs(engine, sta, bdd, target, budget, &targets)?;
+        Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed(), 1))
+    }
+
+    /// The per-point loop every serial SPCF run goes through: installs
+    /// `budget` on `bdd`, aims `engine` at `targets` under the
+    /// `spcf.prepare` phase, computes each target under a `spcf.output`
+    /// phase with its latency histogram, then publishes engine and
+    /// manager metrics — always, even after an exhaustion, so partial
+    /// work is visible. The previous budget is restored on every exit
+    /// path.
+    fn run_outputs(
+        &mut self,
+        engine: &mut dyn SpcfEngine,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+        targets: &[NetId],
+    ) -> Result<Vec<OutputSpcf>, Exhausted> {
+        let _span = tm_telemetry::span::enter(span_name(engine.algorithm()));
+        let scope = BudgetScope::install(bdd, budget);
+        let mut cx = EngineCx {
+            netlist: sta.netlist(),
+            sta,
+            target,
+            budget,
+            bdd: &mut *scope.bdd,
+            primes: &mut self.primes,
+            globals: &mut self.globals,
+        };
+        let result = (|| {
+            {
+                let _prep = tm_telemetry::flight::phase_with(
+                    "spcf.prepare",
+                    &[("targets", targets.len() as f64)],
+                );
+                engine.retarget(&mut cx, targets)?;
+            }
+            let metric = output_ns_metric(engine.algorithm());
+            let mut outputs = Vec::with_capacity(targets.len());
+            for &o in targets {
+                let t0 = Instant::now();
+                let _ev =
+                    tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
+                let spcf = engine.compute_output(&mut cx, o)?;
+                if let Some(m) = metric {
+                    tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
+                }
+                outputs.push(OutputSpcf { output: o, spcf });
+            }
+            Ok(outputs)
+        })();
+        engine.publish_metrics();
+        cx.bdd.publish_metrics();
+        result
+    }
+
+    /// Every [`BddRef`] the state pins across points: the lazily built
+    /// global net functions plus whatever each resident engine reports
+    /// via [`SpcfEngine::collect_roots`].
+    fn capacity_roots(&self) -> Vec<BddRef> {
+        let mut roots = Vec::new();
+        self.globals.collect_roots(&mut roots);
+        for slot in self.slots.iter().flatten() {
+            slot.engine.collect_roots(&mut roots);
+        }
+        roots
+    }
+
+    /// Rewrites every cached ref through `remap`.
+    fn remap_refs(&mut self, remap: &BddRemap) {
+        self.globals.remap_refs(remap);
+        for slot in self.slots.iter_mut().flatten() {
+            slot.engine.remap_refs(remap);
+        }
+    }
+
+    /// Mark-and-sweep of `bdd` rooted at the state's live refs,
+    /// followed by store compaction; every cached ref is rewritten
+    /// through the index remap. Dead intermediates from past ladder
+    /// points are reclaimed and their node budget refunded (the manager
+    /// charges allocations against its *current* size). Returns the
+    /// number of nodes reclaimed.
+    pub fn gc(&mut self, bdd: &mut Bdd) -> usize {
+        let before = bdd.node_count();
+        let remap = bdd.gc(&self.capacity_roots());
+        self.remap_refs(&remap);
+        before - bdd.node_count()
+    }
+
+    /// Full capacity maintenance: GC, then Rudell sifting when the
+    /// store has outgrown the reorder heuristic
+    /// ([`Bdd::should_reorder`]). Returns total nodes reclaimed across
+    /// both passes.
+    pub fn maintain(&mut self, bdd: &mut Bdd) -> usize {
+        let before = bdd.node_count();
+        self.gc(bdd);
+        if bdd.should_reorder() {
+            let remap = bdd.reorder(&self.capacity_roots());
+            self.remap_refs(&remap);
+        }
+        before.saturating_sub(bdd.node_count())
+    }
+}
+
+/// One cold SPCF run: a fresh [`WarmState`] driven once through its
+/// per-point loop, without the warm protocol's engine slots or GC
+/// retry — a budget trip surfaces unchanged, so the degradation
+/// ladder's rungs see exactly the budget they were given.
 pub struct EngineSession<'n, 'c> {
-    netlist: &'n Netlist,
     sta: &'c Sta<'n>,
     bdd: &'c mut Bdd,
     target: Delay,
     budget: Budget,
-    prev_budget: Budget,
-    primes: GatePrimes,
-    globals: LazyGlobals,
-    start: Instant,
+    state: WarmState,
 }
 
 impl<'n, 'c> EngineSession<'n, 'c> {
-    /// Opens a session: validates the netlist/STA/manager triple and
-    /// installs `budget` on the manager.
+    /// Opens a session: validates the netlist/STA/manager triple. The
+    /// run installs `budget` on the manager and restores the previous
+    /// budget on every exit path (success, exhaustion, panic).
     ///
     /// # Panics
     ///
@@ -272,78 +545,14 @@ impl<'n, 'c> EngineSession<'n, 'c> {
     ) -> Self {
         assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
         assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
-        let prev_budget = bdd.budget();
-        bdd.set_budget(budget);
-        EngineSession {
-            netlist,
-            sta,
-            bdd,
-            target,
-            budget,
-            prev_budget,
-            primes: GatePrimes::new(),
-            globals: LazyGlobals::new(netlist),
-            start: Instant::now(),
-        }
+        EngineSession { sta, bdd, target, budget, state: WarmState::new(netlist) }
     }
 
-    /// The session's critical outputs, in netlist output order.
-    pub fn critical_outputs(&self) -> Vec<NetId> {
-        critical_outputs(self.netlist, self.sta, self.target)
-    }
-
-    fn cx(&mut self) -> EngineCx<'n, '_> {
-        EngineCx {
-            netlist: self.netlist,
-            sta: self.sta,
-            target: self.target,
-            budget: self.budget,
-            bdd: &mut *self.bdd,
-            primes: &mut self.primes,
-            globals: &mut self.globals,
-        }
-    }
-
-    fn compute(
-        &mut self,
-        engine: &mut dyn SpcfEngine,
-        targets: &[NetId],
-    ) -> Result<Vec<OutputSpcf>, Exhausted> {
-        {
-            let _prep = tm_telemetry::flight::phase_with(
-                "spcf.prepare",
-                &[("targets", targets.len() as f64)],
-            );
-            engine.prepare(&mut self.cx(), targets)?;
-        }
-        let metric = output_ns_metric(engine.algorithm());
-        let mut outputs = Vec::with_capacity(targets.len());
-        for &o in targets {
-            let t0 = Instant::now();
-            let _ev =
-                tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-            let spcf = engine.compute_output(&mut self.cx(), o)?;
-            if let Some(m) = metric {
-                tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
-            }
-            outputs.push(OutputSpcf { output: o, spcf });
-        }
-        Ok(outputs)
-    }
-
-    /// Runs `engine` over every critical output of the session.
+    /// Runs `engine` over every critical output of the session. The
+    /// engine is aimed through [`SpcfEngine::retarget`], which equals
+    /// `prepare` for the fresh engines every entry point passes in.
     pub fn run(mut self, engine: &mut dyn SpcfEngine) -> Result<SpcfSet, Exhausted> {
-        let _span = tm_telemetry::span::enter(span_name(engine.algorithm()));
-        let targets = self.critical_outputs();
-        let result = self.compute(engine, &targets);
-        engine.publish_metrics(&mut self.cx());
-        Ok(SpcfSet::new(
-            engine.algorithm(),
-            self.target,
-            result?,
-            self.start.elapsed(),
-            1,
-        ))
+        self.state.run(engine, self.sta, self.bdd, self.target, self.budget)
     }
 
     /// Runs `engine` for a single (not necessarily output) net —
@@ -353,64 +562,27 @@ impl<'n, 'c> EngineSession<'n, 'c> {
         engine: &mut dyn SpcfEngine,
         net: NetId,
     ) -> Result<BddRef, Exhausted> {
-        let targets = [net];
-        let r = (|| {
-            engine.prepare(&mut self.cx(), &targets)?;
-            engine.compute_output(&mut self.cx(), net)
-        })();
-        engine.publish_metrics(&mut self.cx());
-        r
+        let outputs =
+            self.state.run_outputs(engine, self.sta, self.bdd, self.target, self.budget, &[net])?;
+        Ok(outputs[0].spcf)
     }
 }
 
-impl Drop for EngineSession<'_, '_> {
-    fn drop(&mut self) {
-        self.bdd.set_budget(self.prev_budget);
-    }
-}
-
-/// A reusable SPCF session: one manager, one engine, one prime cache,
-/// one global-BDD cache — queried at a *ladder* of Δ_y targets.
-///
-/// The protection-band sweep, `table1`/`table2`, and the DVS explorer
-/// all evaluate the same circuit at many targets. A cold
-/// [`EngineSession`] per point rebuilds everything; a warm session
-/// keeps it, because almost all of it is target-independent:
-///
-/// - the manager's unique table and computed caches (every retarget's
-///   BDD work lands on warm caches);
-/// - gate primes and lazily built global net functions;
-/// - the short-path engine's stabilization memo — `stab(s, t, v)` never
-///   mentions Δ_y, so a descending ladder re-derives each point from
-///   memoized stabilization sets. This is the computational face of the
-///   paper's monotonicity `Σ_y(Δ') ⊆ Σ_y(Δ)` for `Δ' ≥ Δ`: tightening
-///   the target only *adds* stabilization queries at earlier times; all
-///   previously answered ones are reused verbatim.
-///
-/// Engines opt into reuse via [`SpcfEngine::retarget`]; engines with
-/// target-dependent state (node-based required times) re-prepare and
-/// still benefit from the warm manager and caches.
-///
-/// Construction installs `budget` on the manager; `Drop` restores the
-/// previous budget and publishes the engine's telemetry once (lifetime
-/// engine counters must not be re-added per retarget).
+/// A borrowing warm session: one [`WarmState`] serving one algorithm
+/// over a caller-owned manager, for the ladders that live inside one
+/// call frame (the sweep, `table1`, the DVS explorer).
 pub struct WarmSession<'n, 'c> {
-    netlist: &'n Netlist,
     sta: &'c Sta<'n>,
     bdd: &'c mut Bdd,
+    algorithm: Algorithm,
     budget: Budget,
-    prev_budget: Budget,
-    engine: Box<dyn SpcfEngine + Send>,
-    primes: GatePrimes,
-    globals: LazyGlobals,
-    retargets: u64,
-    last_target: Option<Delay>,
+    state: WarmState,
 }
 
 impl<'n, 'c> WarmSession<'n, 'c> {
     /// Opens a warm session for `algorithm`: validates the
-    /// netlist/STA/manager triple and installs `budget` on the manager
-    /// for the session's lifetime.
+    /// netlist/STA/manager triple. Every retarget runs under `budget`
+    /// and restores the manager's previous budget afterwards.
     ///
     /// # Panics
     ///
@@ -425,29 +597,18 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     ) -> Self {
         assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
         assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
-        let prev_budget = bdd.budget();
-        bdd.set_budget(budget);
-        WarmSession {
-            netlist,
-            sta,
-            bdd,
-            budget,
-            prev_budget,
-            engine: engine_for(algorithm),
-            primes: GatePrimes::new(),
-            globals: LazyGlobals::new(netlist),
-            retargets: 0,
-            last_target: None,
-        }
+        WarmSession { sta, bdd, algorithm, budget, state: WarmState::new(netlist) }
     }
 
     /// The algorithm this session runs.
     pub fn algorithm(&self) -> Algorithm {
-        self.engine.algorithm()
+        self.algorithm
     }
 
     /// The session's manager (for pattern counts, subset checks, …).
-    /// Returned references stay valid for the whole session.
+    /// Returned references stay valid until the next collection
+    /// ([`WarmSession::gc`], [`WarmSession::maintain`], or a
+    /// node-budget recovery inside [`WarmSession::try_retarget`]).
     pub fn bdd(&self) -> &Bdd {
         self.bdd
     }
@@ -457,118 +618,21 @@ impl<'n, 'c> WarmSession<'n, 'c> {
         self.bdd
     }
 
-    /// Every [`BddRef`] the session's caches pin across retargets: the
-    /// lazily built global net functions plus whatever the engine
-    /// reports via [`SpcfEngine::collect_roots`].
-    fn capacity_roots(&self) -> Vec<BddRef> {
-        let mut roots = Vec::new();
-        self.globals.collect_roots(&mut roots);
-        self.engine.collect_roots(&mut roots);
-        roots
-    }
-
-    /// Mark-and-sweep of the session manager rooted at the session's
-    /// live refs, followed by store compaction; every cached ref is
-    /// rewritten through the index remap. Dead intermediates from past
-    /// ladder points are reclaimed and their node budget refunded (the
-    /// manager charges allocations against its *current* size). Returns
-    /// the number of nodes reclaimed.
+    /// [`WarmState::gc`] on the session's manager.
     pub fn gc(&mut self) -> usize {
-        let before = self.bdd.node_count();
-        let roots = self.capacity_roots();
-        let remap = self.bdd.gc(&roots);
-        self.globals.remap_refs(&remap);
-        self.engine.remap_refs(&remap);
-        before - self.bdd.node_count()
+        self.state.gc(self.bdd)
     }
 
-    /// Full capacity maintenance: GC, then Rudell sifting when the
-    /// store has outgrown the reorder heuristic
-    /// ([`Bdd::should_reorder`]). Returns total nodes reclaimed across
-    /// both passes.
+    /// [`WarmState::maintain`] on the session's manager.
     pub fn maintain(&mut self) -> usize {
-        let before = self.bdd.node_count();
-        self.gc();
-        if self.bdd.should_reorder() {
-            let roots = self.capacity_roots();
-            let remap = self.bdd.reorder(&roots);
-            self.globals.remap_refs(&remap);
-            self.engine.remap_refs(&remap);
-        }
-        before.saturating_sub(self.bdd.node_count())
+        self.state.maintain(self.bdd)
     }
 
-    /// Evaluates the SPCF of every output critical at `target`,
-    /// reusing all target-independent state from previous calls.
-    ///
-    /// Any call order is correct; a *descending* ladder is fastest for
-    /// the exact engines (each tightening extends, rather than
-    /// replaces, the work of the previous point). An *ascending* step
-    /// (target above the previous point) is outside the monotonic-reuse
-    /// contract the engines' `retarget` fast paths were written for, so
-    /// the session rebuilds the engine from scratch rather than trusting
-    /// every engine's prepared state to be target-independent — the warm
-    /// manager, gate primes and global functions are shared across the
-    /// rebuild, so the cost is bounded by one cold `prepare`.
-    ///
-    /// When the attempt exhausts the manager's *node* budget, the
-    /// session runs one round of capacity maintenance (GC + conditional
-    /// reorder) and retries once under the same budget — reclaimed dead
-    /// intermediates and a better variable order often fit the query
-    /// where the raw append-only store did not. Step or memo exhaustion
-    /// is not recoverable by GC and propagates immediately (the caller's
-    /// degradation ladder handles it).
+    /// Evaluates the SPCF of every output critical at `target` — one
+    /// [`WarmState::try_point`], with its ascending-step rebuild and
+    /// node-budget recovery.
     pub fn try_retarget(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
-        match self.retarget_attempt(target) {
-            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
-                self.maintain();
-                self.retarget_attempt(target)
-            }
-            r => r,
-        }
-    }
-
-    fn retarget_attempt(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
-        if self.last_target.is_some_and(|prev| target > prev) {
-            self.rebuild_engine();
-        }
-        self.last_target = Some(target);
-        let _span = tm_telemetry::span::enter(span_name(self.engine.algorithm()));
-        tm_telemetry::counter_add("spcf.session.retargets", 1);
-        self.retargets += 1;
-        let start = Instant::now();
-        let targets = critical_outputs(self.netlist, self.sta, target);
-        let metric = output_ns_metric(self.engine.algorithm());
-        let algorithm = self.engine.algorithm();
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        {
-            let _prep = tm_telemetry::flight::phase_with(
-                "spcf.prepare",
-                &[("targets", targets.len() as f64)],
-            );
-            engine.retarget(&mut cx, &targets)?;
-        }
-        let mut outputs = Vec::with_capacity(targets.len());
-        for &o in &targets {
-            let t0 = Instant::now();
-            let _ev =
-                tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-            let spcf = engine.compute_output(&mut cx, o)?;
-            if let Some(m) = metric {
-                tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
-            }
-            outputs.push(OutputSpcf { output: o, spcf });
-        }
-        Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
+        self.state.try_point(self.algorithm, self.sta, self.bdd, target, self.budget)
     }
 
     /// Infallible [`WarmSession::try_retarget`] for unlimited budgets.
@@ -582,44 +646,7 @@ impl<'n, 'c> WarmSession<'n, 'c> {
 
     /// Number of targets evaluated so far.
     pub fn retargets(&self) -> u64 {
-        self.retargets
-    }
-
-    /// Replaces the engine with a fresh one of the same algorithm,
-    /// publishing the outgoing engine's lifetime counters first (each
-    /// engine instance publishes exactly once — here, or at `Drop`).
-    fn rebuild_engine(&mut self) {
-        tm_telemetry::counter_add("spcf.session.rebuilds", 1);
-        let algorithm = self.engine.algorithm();
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target: Delay::ZERO,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        engine.publish_metrics(&mut cx);
-        *engine = engine_for(algorithm);
-    }
-}
-
-impl Drop for WarmSession<'_, '_> {
-    fn drop(&mut self) {
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target: Delay::ZERO,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        engine.publish_metrics(&mut cx);
-        self.bdd.set_budget(self.prev_budget);
+        self.state.points()
     }
 }
 
@@ -874,18 +901,8 @@ fn run_worker(
             }
         }
     }
-    {
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target,
-            budget: shared.limits(),
-            bdd: &mut bdd,
-            primes: &mut primes,
-            globals: &mut globals,
-        };
-        engine.publish_metrics(&mut cx);
-    }
+    engine.publish_metrics();
+    bdd.publish_metrics();
     let telemetry = tm_telemetry::drain();
     let trace = if flight_trace.is_some() {
         tm_telemetry::flight::drain_thread()

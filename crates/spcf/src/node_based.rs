@@ -119,10 +119,6 @@ impl SpcfEngine for NodeBasedEngine {
         cx.bdd.try_not(self.on_time[output.index()])
     }
 
-    fn publish_metrics(&mut self, cx: &mut EngineCx<'_, '_>) {
-        cx.bdd.publish_metrics();
-    }
-
     fn collect_roots(&self, roots: &mut Vec<BddRef>) {
         roots.extend(self.on_time.iter().copied());
     }

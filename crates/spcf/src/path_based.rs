@@ -117,10 +117,6 @@ impl SpcfEngine for PathBasedEngine {
         cx.bdd.try_not(settled)
     }
 
-    fn publish_metrics(&mut self, cx: &mut EngineCx<'_, '_>) {
-        cx.bdd.publish_metrics();
-    }
-
     /// Waveform breakpoints stand in for memo entries: they are the
     /// engine-side state a shared budget has to account for.
     fn memo_entries(&self) -> u64 {

@@ -54,6 +54,9 @@ pub struct ShortPathEngine {
     stab_calls: u64,
     memo_hits: u64,
     memo_misses: u64,
+    /// `[stab_calls, memo_hits, memo_misses]` as of the last publish, so
+    /// each publish adds only the work since the previous one.
+    published: [u64; 3],
 }
 
 /// Packs a stabilization-memo key `(net, quantized time, phase)` into
@@ -201,15 +204,16 @@ impl SpcfEngine for ShortPathEngine {
         cx.bdd.try_not(settled)
     }
 
-    fn publish_metrics(&mut self, cx: &mut EngineCx<'_, '_>) {
+    fn publish_metrics(&mut self) {
         if !tm_telemetry::enabled() {
             return;
         }
-        tm_telemetry::counter_add("spcf.short_path.stab_calls", self.stab_calls);
-        tm_telemetry::counter_add("spcf.short_path.memo_hit", self.memo_hits);
-        tm_telemetry::counter_add("spcf.short_path.memo_miss", self.memo_misses);
+        let [calls, hits, misses] = self.published;
+        self.published = [self.stab_calls, self.memo_hits, self.memo_misses];
+        tm_telemetry::counter_add("spcf.short_path.stab_calls", self.stab_calls - calls);
+        tm_telemetry::counter_add("spcf.short_path.memo_hit", self.memo_hits - hits);
+        tm_telemetry::counter_add("spcf.short_path.memo_miss", self.memo_misses - misses);
         tm_telemetry::gauge_set("spcf.short_path.memo_entries", self.memo.len() as f64);
-        cx.bdd.publish_metrics();
     }
 
     fn memo_entries(&self) -> u64 {

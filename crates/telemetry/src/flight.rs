@@ -633,18 +633,32 @@ pub fn chrome_trace(export: &Export) -> Json {
 mod tests {
     use super::*;
 
-    /// Restores the thread recording override on drop.
-    struct RecordOn(Option<bool>);
+    /// Serializes the recording tests: `stats()` sums every live ring in
+    /// the process, so another test recording at the same time would
+    /// shift this test's exact deltas.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Restores the thread recording override on drop, then lets the
+    /// next recording test run.
+    struct RecordOn {
+        prev: Option<bool>,
+        _serial: MutexGuard<'static, ()>,
+    }
     impl RecordOn {
         fn new() -> Self {
+            let serial = lock(&SERIAL);
             let prev = THREAD_RECORDING.with(|o| o.replace(Some(true)));
             drain_thread(); // start from an empty ring
-            RecordOn(prev)
+            RecordOn { prev, _serial: serial }
         }
     }
     impl Drop for RecordOn {
         fn drop(&mut self) {
-            THREAD_RECORDING.with(|o| o.set(self.0));
+            THREAD_RECORDING.with(|o| o.set(self.prev));
+            // The test thread's ring is unregistered only when the
+            // thread exits, which may be in the middle of the next
+            // recording test: leave nothing behind in the sums.
+            THREAD_RING.with(|r| *lock(&r.ring) = Ring::default());
         }
     }
 

@@ -158,6 +158,7 @@ trap - EXIT
 test -s "$serve_metrics_json" || { echo "ERROR: loadgen wrote no metrics snapshot" >&2; exit 1; }
 cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
     --require-nonzero serve.requests --require-nonzero serve.shed \
+    --require-nonzero bdd.unique.misses --require-nonzero spcf.short_path.stab_calls \
     "$serve_metrics_json"
 
 echo "== trace smoke (flight recorder + trace verb + tm-profile --check) =="
