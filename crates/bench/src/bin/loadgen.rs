@@ -28,11 +28,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tm_client::{request, request_with_retry, RetryPolicy};
 use tm_server::gen::synthetic_blif;
+use tm_server::serve::{ServeConfig, ServeCore};
 use tm_testkit::json::Json;
 use tm_testkit::rng::Rng;
 
 /// Circuits in the request mix (distinct seeds → distinct pool keys).
 const CORPUS_SEEDS: [u64; 4] = [11, 22, 33, 44];
+
+/// The `Δ_y` ladder of every request, relative to the circuit's
+/// critical path delay. Descending, so the second point rides the warm
+/// memo; at 0.3 every corpus circuit has a non-empty SPCF, while above
+/// 0.8 none does.
+const LADDER: [f64; 2] = [0.6, 0.3];
 
 /// Per-request read timeout: generous, so only a wedged server trips it.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
@@ -53,12 +60,25 @@ fn corpus() -> Vec<String> {
                 ("verb", Json::str("spcf")),
                 ("blif", Json::str(synthetic_blif(seed, 10, 28))),
                 ("algorithm", Json::str("short-path")),
-                ("targets", Json::Arr(vec![Json::Num(0.95), Json::Num(0.9)])),
+                ("targets", Json::Arr(LADDER.map(Json::Num).to_vec())),
                 ("relative", Json::Bool(true)),
             ]);
             payload.render()
         })
         .collect()
+}
+
+/// True when some in-process reference frame of the corpus reports a
+/// non-empty SPCF. A corpus whose SPCFs are all empty drives the server
+/// through no SPCF work and would let a broken engine pass.
+fn corpus_has_spcf_work(payloads: &[String]) -> bool {
+    let core = ServeCore::new(ServeConfig::default());
+    payloads.iter().flat_map(|p| core.handle_payload(p.as_bytes())).any(|frame| {
+        Json::parse(&frame)
+            .ok()
+            .and_then(|j| j.get("critical_patterns").and_then(Json::as_num))
+            .is_some_and(|n| n > 0.0)
+    })
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -342,6 +362,10 @@ fn main() {
     }
     let addr = addr.unwrap_or_else(|| usage());
     let payloads = corpus();
+    if !corpus_has_spcf_work(&payloads) {
+        eprintln!("loadgen: FAIL every reference SPCF of the corpus is empty");
+        std::process::exit(1);
+    }
     let policy = loadgen_policy();
     let mut rng = Rng::seed_from_u64(seed);
     let mut failed = false;

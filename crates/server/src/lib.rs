@@ -17,8 +17,8 @@
 //!   manager, and warm SPCF state) and [`pool::SessionPool`] (strict
 //!   LRU keyed by an FNV-1a hash of the canonicalized BLIF).
 //! - [`serve`]: [`serve::ServeCore`], the transport-free request
-//!   engine — verb dispatch, request coalescing, the degradation
-//!   ladder as graceful load-shedding, and the `STATS` aggregate.
+//!   engine — verb dispatch, the degradation ladder as graceful
+//!   load-shedding, and the `STATS` aggregate.
 //! - [`net`]: the TCP front — acceptor, admission gate, worker pool,
 //!   per-connection framing loop, and clean shutdown.
 //! - [`gen`]: a deterministic synthetic-BLIF generator shared by the

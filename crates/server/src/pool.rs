@@ -75,21 +75,16 @@ impl PooledSession {
         PooledSession { netlist, bdd, state }
     }
 
-    /// The mapped circuit this session serves.
-    pub fn netlist(&self) -> &Netlist {
+    /// The mapped circuit this session serves (an `Arc`, so a caller
+    /// can build the [`Sta`] that [`PooledSession::compute`] borrows
+    /// without holding a borrow of the session).
+    pub fn netlist(&self) -> &Arc<Netlist> {
         &self.netlist
     }
 
     /// The session's BDD manager (for pattern counts in reports).
     pub fn bdd(&self) -> &Bdd {
         &self.bdd
-    }
-
-    /// The circuit's critical path delay Δ (recomputed per call; STA is
-    /// linear in the netlist and borrow-tied to it, so it cannot be
-    /// stored here).
-    pub fn delta(&self) -> Delay {
-        Sta::new(&self.netlist).critical_path_delay()
     }
 
     /// Live node count of the session's manager.
@@ -126,14 +121,17 @@ impl PooledSession {
     /// Evaluates the SPCF of every output critical at `target` under
     /// `budget` — one [`WarmState::try_point`], with its ascending-step
     /// engine rebuild, empty-slot panic safety and node-budget recovery.
+    /// `sta` must be built over this session's [`PooledSession::netlist`];
+    /// one STA serves every point of a request.
     pub fn compute(
         &mut self,
         algorithm: Algorithm,
+        sta: &Sta<'_>,
         target: Delay,
         budget: Budget,
     ) -> Result<SpcfSet, Exhausted> {
-        let sta = Sta::new(&self.netlist);
-        self.state.try_point(algorithm, &sta, &mut self.bdd, target, budget)
+        debug_assert!(std::ptr::eq(sta.netlist(), &*self.netlist), "STA of another netlist");
+        self.state.try_point(algorithm, sta, &mut self.bdd, target, budget)
     }
 }
 
@@ -356,14 +354,16 @@ mod tests {
     #[test]
     fn between_request_gc_keeps_served_spcfs_identical() {
         let mut s = session(42);
-        let delta = s.delta();
-        let target = delta * 0.8;
-        let set1 = s.compute(Algorithm::ShortPath, target, Budget::unlimited()).expect("compute");
+        let netlist = Arc::clone(s.netlist());
+        let sta = Sta::new(&netlist);
+        let target = sta.critical_path_delay() * 0.8;
+        let set1 =
+            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited()).expect("compute");
         let export1: Vec<_> = set1.outputs.iter().map(|o| s.bdd().export(o.spcf)).collect();
         // Watermark of 1 node always fires: GC + possible reorder.
         s.maybe_gc(1);
         let set2 =
-            s.compute(Algorithm::ShortPath, target, Budget::unlimited()).expect("recompute");
+            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited()).expect("recompute");
         let export2: Vec<_> = set2.outputs.iter().map(|o| s.bdd().export(o.spcf)).collect();
         assert_eq!(export1, export2, "GC must not change served SPCFs");
         assert_eq!(s.computes(), 2);

@@ -1,6 +1,6 @@
 //! The request engine behind the daemon: verb dispatch, the session
-//! pool, request coalescing, the load/budget degradation ladder, and
-//! the shared telemetry aggregate (DESIGN.md §10).
+//! pool, the load/budget degradation ladder, and the shared telemetry
+//! aggregate (DESIGN.md §10).
 //!
 //! [`ServeCore`] is transport-free — [`ServeCore::handle_payload`]
 //! maps one request payload to the ordered list of response frames.
@@ -19,20 +19,21 @@
 //! typed `exhausted` error and counted as shed. Nothing in the ladder
 //! blocks or panics.
 //!
-//! # Determinism
+//! # Determinism and panic recovery
 //!
 //! Report frames carry no wall-clock fields (latency goes to the
 //! `serve.request_ns` digest instead), so a request's frames are a
 //! pure function of (circuit, algorithm, ladder) — the
 //! concurrent-determinism suite compares them byte-for-byte against a
-//! serial [`tm_spcf::EngineSession`] run. Coalescing hands a waiting
-//! follower the leader's frames, which are the same bytes by the same
-//! argument.
+//! serial [`tm_spcf::EngineSession`] run. Identical concurrent requests
+//! serialize on their pooled session's mutex, each running its own
+//! ladder on the warm session. A computation that panics leaves its
+//! engine slot empty and the session mutex poisoned; the next request
+//! recovers the lock ([`lock_recover`]) and rebuilds the engine — the
+//! one panic-recovery path.
 
 use crate::pool::{canonical_blif, lock_recover, PoolStats, PooledSession, SessionPool};
 use crate::protocol::{error_frame, error_frame_for, Request};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tm_logic::Bdd;
@@ -41,6 +42,7 @@ use tm_netlist::library::{lsi10k_like, Library};
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{Budget, Gate, TmError};
 use tm_spcf::{Algorithm, SpcfSet};
+use tm_sta::Sta;
 use tm_telemetry::flight;
 use tm_telemetry::Snapshot;
 use tm_testkit::json::Json;
@@ -127,58 +129,12 @@ impl ServeConfig {
 /// Chrome JSON safely under the 4 MiB frame cap.
 pub const DEFAULT_TRACE_EXPORT_LIMIT: usize = 10_000;
 
-/// A coalescing slot: the leader fills `frames` and notifies; followers
-/// wait (bounded) and reuse the bytes.
-struct Flight {
-    state: Mutex<FlightState>,
-    ready: Condvar,
-}
-
-/// Where a coalesced computation stands. `Abandoned` is the
-/// panic-safety state: the leader unwound (e.g. an injected
-/// `compute.panic`) before publishing, so followers must compute
-/// independently instead of waiting on frames that will never come —
-/// the chaos soak wedged on exactly this before the state existed.
-enum FlightState {
-    Pending,
-    Done(Arc<Vec<String>>),
-    Abandoned,
-}
-
-/// Removes the leader's flight from the in-flight map and wakes every
-/// follower — by `Drop`, so the cleanup also runs when the computation
-/// panics out from under the leader.
-struct FlightLeaderGuard<'a> {
-    inflight: &'a Mutex<HashMap<u64, Arc<Flight>>>,
-    key: u64,
-    flight: &'a Arc<Flight>,
-}
-
-impl Drop for FlightLeaderGuard<'_> {
-    fn drop(&mut self) {
-        {
-            let mut state = lock_recover(&self.flight.state);
-            if matches!(*state, FlightState::Pending) {
-                *state = FlightState::Abandoned;
-                tm_telemetry::counter_add("serve.coalesced.abandoned", 1);
-            }
-        }
-        self.flight.ready.notify_all();
-        lock_recover(self.inflight).remove(&self.key);
-    }
-}
-
-/// How long a coalesced follower waits for its leader before computing
-/// independently — a liveness backstop, not an expected path.
-const COALESCE_WAIT: Duration = Duration::from_secs(30);
-
 /// Drain coordination: the `shutdown` verb (or any caller of
 /// [`ServeCore::request_drain`]) flips the flag; the daemon binary
 /// blocks in [`ServeCore::wait_drain_request`] and then runs the
 /// network layer's grace-window drain.
 struct DrainState {
-    requested: AtomicBool,
-    flagged: Mutex<bool>,
+    requested: Mutex<bool>,
     signal: Condvar,
 }
 
@@ -189,7 +145,6 @@ pub struct ServeCore {
     pool: SessionPool,
     gate: Arc<Gate>,
     aggregate: Mutex<Snapshot>,
-    inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     drain: DrainState,
 }
 
@@ -203,12 +158,7 @@ impl ServeCore {
             pool: SessionPool::new(config.pool_capacity),
             gate: Arc::new(Gate::new(config.admit.max(1))),
             aggregate: Mutex::new(Snapshot::default()),
-            inflight: Mutex::new(HashMap::new()),
-            drain: DrainState {
-                requested: AtomicBool::new(false),
-                flagged: Mutex::new(false),
-                signal: Condvar::new(),
-            },
+            drain: DrainState { requested: Mutex::new(false), signal: Condvar::new() },
         }
     }
 
@@ -216,10 +166,11 @@ impl ServeCore {
     /// counts `serve.drain.requested`) and wakes
     /// [`ServeCore::wait_drain_request`] waiters.
     pub fn request_drain(&self) {
-        if !self.drain.requested.swap(true, Ordering::SeqCst) {
+        let mut requested = lock_recover(&self.drain.requested);
+        if !*requested {
+            *requested = true;
             tm_telemetry::counter_add("serve.drain.requested", 1);
         }
-        *lock_recover(&self.drain.flagged) = true;
         self.drain.signal.notify_all();
     }
 
@@ -227,18 +178,18 @@ impl ServeCore {
     /// admitting and connection loops close after their current
     /// payload when this is set.
     pub fn drain_requested(&self) -> bool {
-        self.drain.requested.load(Ordering::SeqCst)
+        *lock_recover(&self.drain.requested)
     }
 
     /// Blocks the calling thread until a drain is requested (the
     /// daemon binary parks here instead of a spin loop).
     pub fn wait_drain_request(&self) {
-        let mut flagged = lock_recover(&self.drain.flagged);
-        while !*flagged {
-            flagged = self
+        let mut requested = lock_recover(&self.drain.requested);
+        while !*requested {
+            requested = self
                 .drain
                 .signal
-                .wait(flagged)
+                .wait(requested)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
@@ -350,65 +301,8 @@ impl ServeCore {
                 return vec![error_frame_for(&TmError::parse(e.line(), e.to_string()))];
             }
         };
-        let canonical = canonical_blif(&sop);
-        let circuit_key = fnv1a64(canonical.as_bytes());
+        let circuit_key = fnv1a64(canonical_blif(&sop).as_bytes());
         drop(parse_phase);
-        // Identical concurrent requests ride one computation: key the
-        // flight by everything that shapes the response bytes.
-        let mut flight_bytes = canonical.into_bytes();
-        flight_bytes.extend_from_slice(algorithm.to_string().as_bytes());
-        flight_bytes.push(relative as u8);
-        for t in targets {
-            flight_bytes.extend_from_slice(&t.to_bits().to_be_bytes());
-        }
-        let flight_key = fnv1a64(&flight_bytes);
-
-        let (flight, leader) = {
-            let mut map = lock_recover(&self.inflight);
-            match map.get(&flight_key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight {
-                        state: Mutex::new(FlightState::Pending),
-                        ready: Condvar::new(),
-                    });
-                    map.insert(flight_key, Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if leader {
-            // The guard publishes `Abandoned` + wakes followers +
-            // removes the map entry even if the computation panics.
-            let _cleanup =
-                FlightLeaderGuard { inflight: &self.inflight, key: flight_key, flight: &flight };
-            let frames =
-                Arc::new(self.compute_spcf_frames(&sop, circuit_key, algorithm, targets, relative));
-            *lock_recover(&flight.state) = FlightState::Done(Arc::clone(&frames));
-            return frames.as_ref().clone();
-        }
-        tm_telemetry::counter_add("serve.coalesced", 1);
-        let deadline = Instant::now() + COALESCE_WAIT;
-        let mut guard = lock_recover(&flight.state);
-        loop {
-            match &*guard {
-                FlightState::Done(frames) => return frames.as_ref().clone(),
-                FlightState::Abandoned => break, // leader unwound
-                FlightState::Pending => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _timeout) = flight
-                .ready
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            guard = g;
-        }
-        drop(guard);
-        // Leader vanished (panicked, wedged or killed): compute
-        // independently.
         self.compute_spcf_frames(&sop, circuit_key, algorithm, targets, relative)
     }
 
@@ -438,6 +332,8 @@ impl ServeCore {
             }
         };
         let mut session = lock_recover(&entry);
+        let netlist = Arc::clone(session.netlist());
+        let sta = Sta::new(&netlist);
 
         // Load rung: the cheaper of the request and what occupancy
         // allows right now.
@@ -450,7 +346,7 @@ impl ServeCore {
             requested
         };
 
-        let delta = session.delta();
+        let delta = sta.critical_path_delay();
         let mut frames = Vec::with_capacity(targets.len() + 1);
         for (seq, &raw) in targets.iter().enumerate() {
             let target = if relative { delta * raw } else { Delay::new(raw) };
@@ -458,7 +354,7 @@ impl ServeCore {
             let outcome = {
                 let _phase = flight::phase_with("serve.compute", &[("seq", seq as f64)]);
                 loop {
-                    match session.compute(rung, target, self.config.budget) {
+                    match session.compute(rung, &sta, target, self.config.budget) {
                         Ok(set) => break Ok(set),
                         Err(e) => match rung.fallback() {
                             Some(next) => rung = degrade_to(rung, next),
@@ -570,8 +466,12 @@ impl ServeCore {
     /// in — the `metrics` object of the `stats` frame, also written to
     /// disk as the daemon's final drain snapshot.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        let pool = self.pool.stats();
-        let recorder = flight::stats();
+        self.snapshot_with(&self.pool.stats(), &flight::stats())
+    }
+
+    /// [`ServeCore::metrics_snapshot`] over pool and recorder readings
+    /// the caller already took.
+    fn snapshot_with(&self, pool: &PoolStats, recorder: &flight::FlightStats) -> Snapshot {
         let mut snap = {
             let mut agg = lock_recover(&self.aggregate);
             let local = tm_telemetry::drain();
@@ -598,7 +498,7 @@ impl ServeCore {
     pub fn stats_frame(&self) -> String {
         let pool = self.pool.stats();
         let recorder = flight::stats();
-        let snap = self.metrics_snapshot();
+        let snap = self.snapshot_with(&pool, &recorder);
         Json::obj([
             ("type", Json::str("stats")),
             ("metrics", snap.to_json()),

@@ -101,7 +101,7 @@ fn concurrent_clients_see_bit_identical_serial_frames() {
             config.admit = 64; // determinism under load, not shedding
             // Load-based degradation deliberately trades exactness for
             // liveness; disable it here — this battery pins the serving
-            // machinery itself (pooling, coalescing, locking).
+            // machinery itself (pooling, session locking).
             config.degrade_node_based_at = usize::MAX;
             config.degrade_conservative_at = usize::MAX;
             let handle = tm_server::net::serve(Arc::new(ServeCore::new(config)), "127.0.0.1:0")

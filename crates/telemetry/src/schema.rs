@@ -73,8 +73,6 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("serve.requests", MetricKind::Counter),
     ("serve.errors", MetricKind::Counter),
     ("serve.shed", MetricKind::Counter),
-    ("serve.coalesced", MetricKind::Counter),
-    ("serve.coalesced.abandoned", MetricKind::Counter),
     ("serve.degrade.node_based", MetricKind::Counter),
     ("serve.degrade.conservative", MetricKind::Counter),
     ("serve.pool.hits", MetricKind::Counter),
