@@ -49,12 +49,25 @@ fn corpus() -> Vec<String> {
                 ("verb", Json::str("spcf")),
                 ("blif", Json::str(tm_server::gen::synthetic_blif(seed, 7, 14))),
                 ("algorithm", Json::str("short-path")),
-                ("targets", Json::Arr(vec![Json::Num(0.95), Json::Num(0.9)])),
+                // Low enough for non-empty SPCFs: 5 of the 8
+                // reference points are.
+                ("targets", Json::Arr(vec![Json::Num(0.6), Json::Num(0.3)])),
                 ("relative", Json::Bool(true)),
             ])
             .render()
         })
         .collect()
+}
+
+/// Whether some frame reports a non-empty SPCF. A corpus whose SPCFs
+/// are all empty runs the soak's oracles over no SPCF work.
+fn reports_spcf_work(frames: &[String]) -> bool {
+    frames.iter().any(|f| {
+        Json::parse(f)
+            .ok()
+            .and_then(|j| j.get("critical_patterns").and_then(Json::as_num))
+            .is_some_and(|n| n > 0.0)
+    })
 }
 
 fn soak_config() -> ServeConfig {
@@ -147,6 +160,10 @@ fn seeded_chaos_soak_holds_every_invariant() {
             "reference run {k} must succeed: {frames:?}"
         );
     }
+    assert!(
+        reference.iter().any(|f| reports_spcf_work(f)),
+        "corpus too trivial: every reference SPCF is empty"
+    );
 
     let guard = fault::arm_scoped(FAULT_SPEC, SOAK_SEED).expect("valid fault spec");
     let core = Arc::new(ServeCore::new(soak_config()));

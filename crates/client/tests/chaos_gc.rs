@@ -27,15 +27,28 @@ use tm_server::gen::synthetic_blif;
 use tm_server::serve::{ServeConfig, ServeCore};
 use tm_testkit::json::Json;
 
+/// The ladder sits low because these 7-input circuits have empty SPCFs
+/// near Δ: at `[0.3, 0.15]` 4 of the 6 reference points are non-empty.
 fn spcf_payload(blif: &str) -> String {
     Json::obj([
         ("verb", Json::str("spcf")),
         ("blif", Json::str(blif)),
         ("algorithm", Json::str("short-path")),
-        ("targets", Json::Arr(vec![Json::Num(0.95), Json::Num(0.9)])),
+        ("targets", Json::Arr(vec![Json::Num(0.3), Json::Num(0.15)])),
         ("relative", Json::Bool(true)),
     ])
     .render()
+}
+
+/// Whether some frame reports a non-empty SPCF. A corpus whose SPCFs
+/// are all empty runs the GC and fault oracles over no SPCF work.
+fn reports_spcf_work(frames: &[String]) -> bool {
+    frames.iter().any(|f| {
+        Json::parse(f)
+            .ok()
+            .and_then(|j| j.get("critical_patterns").and_then(Json::as_num))
+            .is_some_and(|n| n > 0.0)
+    })
 }
 
 #[test]
@@ -65,6 +78,10 @@ fn gc_interleaved_with_armed_alloc_faults_leaks_nothing() {
             "reference run {k} must succeed: {frames:?}"
         );
     }
+    assert!(
+        reference.iter().any(|f| reports_spcf_work(f)),
+        "corpus too trivial: every reference SPCF is empty"
+    );
 
     let guard = fault::arm_scoped("bdd.alloc.fail@nth=233", 0x9C5EED).expect("valid fault spec");
     let core = ServeCore::new(config);

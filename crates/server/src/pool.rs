@@ -106,8 +106,8 @@ impl PooledSession {
     /// when the manager's live store is at or above `watermark` nodes.
     /// Returns nodes reclaimed (0 when below the watermark). Publishes
     /// the manager's counter deltas so `bdd.gc.*` / `bdd.reorder.*`
-    /// land in the serving thread's registry (folded into the `stats`
-    /// verb).
+    /// land in the serving thread's telemetry store (folded into the
+    /// `stats` verb).
     pub fn maybe_gc(&mut self, watermark: u64) -> u64 {
         if self.node_count() >= watermark {
             let reclaimed = self.state.maintain(&mut self.bdd);

@@ -209,7 +209,7 @@ impl ServeCore {
         self.pool.stats()
     }
 
-    /// Drains the calling thread's telemetry registry into the shared
+    /// Drains the calling thread's telemetry store into the shared
     /// aggregate. Workers call this after every connection; anything
     /// recorded on a thread that never folds is invisible to `stats`.
     pub fn fold_local_telemetry(&self) {
@@ -462,7 +462,7 @@ impl ServeCore {
     }
 
     /// The folded telemetry aggregate (plus this thread's
-    /// not-yet-folded registry) with live pool/recorder gauges merged
+    /// not-yet-folded store) with live pool/recorder gauges merged
     /// in — the `metrics` object of the `stats` frame, also written to
     /// disk as the daemon's final drain snapshot.
     pub fn metrics_snapshot(&self) -> Snapshot {
@@ -479,22 +479,22 @@ impl ServeCore {
             agg.clone()
         };
         // Live values go in as gauges (last-write-wins), so repeated
-        // stats calls don't double-count them through the merge.
-        let mut live = Snapshot::default();
-        live.gauges.push(("serve.pool.sessions".to_string(), pool.sessions as f64));
-        live.gauges.push(("serve.trace.buffered".to_string(), recorder.buffered as f64));
-        live.gauges.push(("serve.trace.dropped".to_string(), recorder.dropped as f64));
-        live.gauges.push(("serve.trace.threads".to_string(), recorder.threads as f64));
-        // Serving-level store levels: pool-wide totals override any
-        // per-manager gauge a publish left behind (last-write-wins).
-        live.gauges.push(("bdd.store.live".to_string(), pool.bdd_nodes as f64));
-        live.gauges.push(("bdd.store.capacity".to_string(), pool.bdd_capacity as f64));
-        snap.merge(&live);
+        // stats calls don't double-count them. The serving-level store
+        // levels are pool-wide totals and override any per-manager
+        // gauge a publish left behind.
+        snap.gauges.extend([
+            ("serve.pool.sessions", pool.sessions as f64),
+            ("serve.trace.buffered", recorder.buffered as f64),
+            ("serve.trace.dropped", recorder.dropped as f64),
+            ("serve.trace.threads", recorder.threads as f64),
+            ("bdd.store.live", pool.bdd_nodes as f64),
+            ("bdd.store.capacity", pool.bdd_capacity as f64),
+        ]);
         snap
     }
 
     /// Renders the `stats` frame: the folded telemetry aggregate (plus
-    /// this thread's not-yet-folded registry) and pool statistics.
+    /// this thread's not-yet-folded store) and pool statistics.
     pub fn stats_frame(&self) -> String {
         let pool = self.pool.stats();
         let recorder = flight::stats();
@@ -702,6 +702,13 @@ mod tests {
         };
         let totals = [reference(1), reference(2)];
         assert!(totals[0].iter().all(|&n| n > 0), "vacuous fixture: {totals:?}");
+        // Every critical output of every point lands one value in the
+        // per-output latency digest.
+        let outputs_per_ladder: u64 = ladder
+            .iter()
+            .map(|&f| tm_spcf::critical_outputs(&netlist, &sta, delta * f).len() as u64)
+            .sum();
+        assert!(outputs_per_ladder > 0, "vacuous fixture: no critical outputs");
 
         let core = ServeCore::new(ServeConfig::default());
         let req = spcf_request(&blif, "short-path", "[0.95,0.85,0.7]");
@@ -711,6 +718,8 @@ mod tests {
             for (name, &want) in COUNTERS.iter().zip(expected) {
                 assert_eq!(snap.counter(name).unwrap_or(0), want, "request {i}: {name}");
             }
+            let digest = snap.digest("spcf.short_path.output_ns").expect("output_ns digest");
+            assert_eq!(digest.count, (i as u64 + 1) * outputs_per_ladder, "request {i}");
         }
     }
 

@@ -18,15 +18,29 @@ use tm_server::gen::synthetic_blif;
 use tm_server::serve::{ServeConfig, ServeCore};
 use tm_testkit::json::Json;
 
+/// The ladder sits low enough for non-empty SPCFs on these 7-input
+/// circuits: 14 of the 18 points the three phases rotate through are
+/// non-empty.
 fn spcf_payload(blif: &str, algorithm: &str) -> String {
     Json::obj([
         ("verb", Json::str("spcf")),
         ("blif", Json::str(blif)),
         ("algorithm", Json::str(algorithm)),
-        ("targets", Json::Arr(vec![Json::Num(0.95), Json::Num(0.9)])),
+        ("targets", Json::Arr(vec![Json::Num(0.6), Json::Num(0.3)])),
         ("relative", Json::Bool(true)),
     ])
     .render()
+}
+
+/// Whether some frame reports a non-empty SPCF. A phase whose SPCFs are
+/// all empty runs its memory oracles over no SPCF work.
+fn reports_spcf_work(frames: &[String]) -> bool {
+    frames.iter().any(|f| {
+        Json::parse(f)
+            .ok()
+            .and_then(|j| j.get("critical_patterns").and_then(Json::as_num))
+            .is_some_and(|n| n > 0.0)
+    })
 }
 
 fn soak_enabled() -> bool {
@@ -51,11 +65,14 @@ fn pool_memory_stays_flat_and_evictions_are_exact() {
 
     let warmup = 64usize;
     let total = 9_700usize;
+    let mut spcf_work = false;
     for k in 0..warmup {
         let payload = spcf_payload(&circuits[k % circuits.len()], algorithms[k % 2]);
         let frames = core.handle_payload(payload.as_bytes());
         assert!(frames.last().is_some_and(|f| f.contains("\"type\":\"done\"")), "{frames:?}");
+        spcf_work |= reports_spcf_work(&frames);
     }
+    assert!(spcf_work, "phase 1: every SPCF is empty");
     let warm = core.pool_stats();
     assert_eq!(warm.sessions, 4, "working set must be fully resident");
 
@@ -92,11 +109,14 @@ fn pool_memory_stays_flat_and_evictions_are_exact() {
     let rotating: Vec<String> =
         (0..3u64).map(|i| synthetic_blif(0xEE7 + i, 7, 14)).collect();
     let requests = 300usize;
+    let mut spcf_work = false;
     for k in 0..requests {
         let payload = spcf_payload(&rotating[k % rotating.len()], "short-path");
         let frames = core.handle_payload(payload.as_bytes());
         assert!(frames.last().is_some_and(|f| f.contains("\"type\":\"done\"")), "{frames:?}");
+        spcf_work |= k < rotating.len() && reports_spcf_work(&frames);
     }
+    assert!(spcf_work, "phase 2: every SPCF is empty");
     let stats = core.pool_stats();
     assert_eq!(stats.hits, 0, "cyclic rotation beyond capacity can never hit");
     assert_eq!(stats.misses, requests as u64);
@@ -124,10 +144,12 @@ fn pool_memory_stays_flat_and_evictions_are_exact() {
     let gc_requests = 2_000usize;
     let gc_warmup = 32usize;
     let mut steady: Option<u64> = None;
+    let mut spcf_work = false;
     for k in 0..gc_requests {
         let payload = spcf_payload(&gc_circuits[k % gc_circuits.len()], algorithms[k % 2]);
         let frames = core.handle_payload(payload.as_bytes());
         assert!(frames.last().is_some_and(|f| f.contains("\"type\":\"done\"")), "{frames:?}");
+        spcf_work |= k < gc_warmup && reports_spcf_work(&frames);
         if k == gc_warmup {
             steady = Some(core.pool_stats().bdd_nodes);
         }
@@ -140,6 +162,7 @@ fn pool_memory_stays_flat_and_evictions_are_exact() {
             );
         }
     }
+    assert!(spcf_work, "phase 3: every SPCF is empty");
     let snap = tm_telemetry::snapshot();
     assert!(
         snap.counter("bdd.gc.runs").unwrap_or(0) >= gc_requests as u64 / 2,

@@ -204,8 +204,8 @@ fn span_name(algorithm: Algorithm) -> &'static str {
     }
 }
 
-/// The per-output latency histogram of an algorithm, if it has one
-/// (the conservative engine does no per-output work worth timing).
+/// The per-output latency digest of an algorithm, if it has one (the
+/// conservative engine does no per-output work worth timing).
 fn output_ns_metric(algorithm: Algorithm) -> Option<&'static str> {
     match algorithm {
         Algorithm::ShortPath => Some("spcf.short_path.output_ns"),
@@ -213,6 +213,23 @@ fn output_ns_metric(algorithm: Algorithm) -> Option<&'static str> {
         Algorithm::NodeBased => Some("spcf.node_based.output_ns"),
         Algorithm::Conservative => None,
     }
+}
+
+/// Computes one critical output under its `spcf.output` phase and
+/// records the time into the algorithm's latency digest — the same
+/// per-output accounting for serial sessions and parallel workers.
+fn compute_output_timed(
+    engine: &mut dyn SpcfEngine,
+    cx: &mut EngineCx<'_, '_>,
+    output: NetId,
+) -> Result<BddRef, Exhausted> {
+    let t0 = Instant::now();
+    let _ev = tm_telemetry::flight::phase_with("spcf.output", &[("net", output.index() as f64)]);
+    let spcf = engine.compute_output(cx, output)?;
+    if let Some(m) = output_ns_metric(engine.algorithm()) {
+        tm_telemetry::digest_record(m, t0.elapsed().as_nanos() as u64);
+    }
+    Ok(spcf)
 }
 
 /// The outputs whose structural arrival exceeds `target`, in netlist
@@ -416,7 +433,7 @@ impl WarmState {
     /// The per-point loop every serial SPCF run goes through: installs
     /// `budget` on `bdd`, aims `engine` at `targets` under the
     /// `spcf.prepare` phase, computes each target under a `spcf.output`
-    /// phase with its latency histogram, then publishes engine and
+    /// phase with its latency digest, then publishes engine and
     /// manager metrics — always, even after an exhaustion, so partial
     /// work is visible. The previous budget is restored on every exit
     /// path.
@@ -448,16 +465,9 @@ impl WarmState {
                 );
                 engine.retarget(&mut cx, targets)?;
             }
-            let metric = output_ns_metric(engine.algorithm());
             let mut outputs = Vec::with_capacity(targets.len());
             for &o in targets {
-                let t0 = Instant::now();
-                let _ev =
-                    tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-                let spcf = engine.compute_output(&mut cx, o)?;
-                if let Some(m) = metric {
-                    tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
-                }
+                let spcf = compute_output_timed(engine, &mut cx, o)?;
                 outputs.push(OutputSpcf { output: o, spcf });
             }
             Ok(outputs)
@@ -701,7 +711,7 @@ struct WorkerOut {
     results: Vec<(NetId, PortableBdd)>,
     /// The exhaustion that stopped this worker, if any.
     error: Option<Exhausted>,
-    /// The worker thread's drained telemetry registry.
+    /// The worker thread's drained telemetry store.
     telemetry: Snapshot,
     /// The worker thread's drained flight-recorder events (empty when
     /// the spawning thread was not recording).
@@ -823,7 +833,7 @@ fn run_worker(
     flight_trace: Option<u64>,
 ) -> WorkerOut {
     if telemetry_on {
-        // Fresh thread, fresh registry: collect here, drain on exit,
+        // Fresh thread, fresh store: collect here, drain on exit,
         // let the parent absorb.
         tm_telemetry::set_thread_enabled(Some(true));
     }
@@ -874,9 +884,7 @@ fn run_worker(
                 );
                 engine.prepare(&mut cx, &shard)?;
             }
-            let _ev =
-                tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-            engine.compute_output(&mut cx, o)
+            compute_output_timed(engine.as_mut(), &mut cx, o)
         })();
         prepared = true;
         let d_nodes = bdd.node_count() as u64 - nodes0;

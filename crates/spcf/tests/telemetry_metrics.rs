@@ -9,21 +9,24 @@ use tm_netlist::circuits::comparator2;
 use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::Delay;
-use tm_spcf::{path_based_spcf, short_path_spcf};
+use tm_spcf::{path_based_spcf, short_path_spcf, spcf_with, Algorithm, SpcfOptions};
 use tm_sta::Sta;
 
-#[test]
-fn short_path_memoizes_and_beats_waveform_node_count() {
-    let lib = Arc::new(lsi10k_like());
-    // Six speed chains put several same-length tails on one shared NAND
-    // trunk, so multiple critical outputs query the trunk at identical
-    // quantized offsets — the (signal, time, phase) collisions the memo
-    // exists to catch. (With the default single chain only one output is
-    // ever critical and every memo key is unique.)
+/// Six speed chains put several same-length tails on one shared NAND
+/// trunk, so multiple critical outputs query the trunk at identical
+/// quantized offsets — the (signal, time, phase) collisions the memo
+/// exists to catch. (With the default single chain only one output is
+/// ever critical and every memo key is unique.)
+fn multi_critical_netlist() -> tm_netlist::Netlist {
     let mut spec = GeneratorSpec::sized("telem12", 12, 6, 90);
     spec.speed_chains = 6;
     spec.chain_extra_depth = 6;
-    let nl = generate(&spec, lib);
+    generate(&spec, Arc::new(lsi10k_like()))
+}
+
+#[test]
+fn short_path_memoizes_and_beats_waveform_node_count() {
+    let nl = multi_critical_netlist();
     let sta = Sta::new(&nl);
     let target = sta.critical_path_delay() * 0.9;
 
@@ -61,6 +64,32 @@ fn short_path_memoizes_and_beats_waveform_node_count() {
     assert!(stab_calls >= hits + misses, "every memo probe is a stab call");
     let entries = snap.gauge("spcf.short_path.memo_entries").expect("memo entries gauge");
     assert_eq!(entries, misses as f64, "each miss inserts exactly one memo entry");
+}
+
+/// Every critical output lands one value in its algorithm's latency
+/// digest, whether the session runs serially or shards the outputs
+/// across parallel workers.
+#[test]
+fn output_latency_digest_counts_every_critical_output_for_any_jobs() {
+    let nl = multi_critical_netlist();
+    let sta = Sta::new(&nl);
+    let target = sta.critical_path_delay() * 0.9;
+    for (algorithm, metric) in [
+        (Algorithm::ShortPath, "spcf.short_path.output_ns"),
+        (Algorithm::PathBased, "spcf.path_based.output_ns"),
+        (Algorithm::NodeBased, "spcf.node_based.output_ns"),
+    ] {
+        for jobs in [1, 2] {
+            let _scope = tm_telemetry::Scope::enter();
+            let mut bdd = Bdd::new(nl.inputs().len());
+            let options = SpcfOptions::default().with_jobs(jobs);
+            let set = spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options);
+            assert!(set.outputs.len() >= 2, "need several critical outputs to shard");
+            let snap = tm_telemetry::snapshot();
+            let digest = snap.digest(metric).expect("per-output latency recorded");
+            assert_eq!(digest.count, set.outputs.len() as u64, "{algorithm:?}, jobs {jobs}");
+        }
+    }
 }
 
 /// Golden metrics snapshot for the paper's Fig. 2 worked example

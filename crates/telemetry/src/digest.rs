@@ -1,14 +1,13 @@
 //! Exact-percentile latency digests: a log-linear (HDR-style) sketch
-//! over `u64` nanosecond values.
+//! over `u64` nanosecond values — the crate's one distribution type.
 //!
-//! The fixed 1–2–5 [`crate::BUCKET_BOUNDS`] histograms are fine for
-//! dashboards but useless for latency SLO questions — a p99 read off a
-//! bucket whose bounds are 2 ms and 5 ms can be wrong by 2.5×. A
-//! [`Digest`] instead stores values below 128 ns exactly and everything
-//! above in sub-buckets of 7 mantissa bits per power of two, bounding
-//! the relative quantile error at `2⁻⁷ < 0.8%` while keeping the state
-//! mergeable (bucket-wise addition, like the histograms) and compact (a
-//! sparse index→count map; a typical latency stream touches a few dozen
+//! Fixed 1–2–5 bucket histograms answer latency SLO questions badly: a
+//! p99 read off a bucket whose bounds are 2 ms and 5 ms can be wrong by
+//! 2.5×. A [`Digest`] instead stores values below 128 ns exactly and
+//! everything above in sub-buckets of 7 mantissa bits per power of two,
+//! bounding the relative quantile error at `2⁻⁷ < 0.8%` while keeping
+//! the state mergeable (bucket-wise addition) and compact (a sparse
+//! index→count map; a typical latency stream touches a few dozen
 //! buckets).
 //!
 //! `count`, `sum`, `min`, and `max` are tracked exactly, and quantiles

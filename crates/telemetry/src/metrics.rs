@@ -1,79 +1,31 @@
-//! Named counters, gauges, and fixed-bucket histograms, with JSON
-//! snapshots.
+//! Named counters, gauges and latency digests, plus span aggregates,
+//! in one per-thread store with JSON snapshots.
 //!
 //! Metric names are `&'static str` in `crate.subsystem.metric` form and
 //! must be registered in [`crate::schema`] — the CI validator fails on
 //! names it does not know, so adding a metric means adding it to the
-//! schema in the same change. The hot path allocates nothing in steady
-//! state: names are static, histogram buckets are a fixed array, and a
-//! disabled thread returns after one branch.
+//! schema in the same change.
+//!
+//! The store *is* a [`Snapshot`] keyed by those static names: recording
+//! writes into the current thread's, [`snapshot`] clones it, [`drain`]
+//! takes it, and [`absorb`] folds a worker's into it with
+//! [`Snapshot::merge`] — the one set of fold rules, shared with the
+//! serving daemon's `Mutex<Snapshot>` aggregate. A disabled thread
+//! returns after one branch.
 
 use crate::digest::Digest;
-use crate::span::SpanStat as SpanStatInner;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tm_testkit::json::Json;
 
 pub use crate::span::SpanStat;
 
-/// Histogram bucket upper bounds: 1–2–5 per decade over nine decades.
-/// Values above the last bound land in an overflow bucket rendered with
-/// `"le": null` (+∞). One shared layout keeps snapshots comparable
-/// across metrics and runs.
-pub const BUCKET_BOUNDS: [f64; 28] = [
-    1.0, 2.0, 5.0, 1e1, 2e1, 5e1, 1e2, 2e2, 5e2, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5,
-    1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
-];
-
-/// A fixed-bucket histogram: per-bucket counts plus total count and sum.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistogramStat {
-    /// Counts per bound of [`BUCKET_BOUNDS`] (`buckets[i]` counts
-    /// values `v ≤ BUCKET_BOUNDS[i]` not counted by an earlier bucket).
-    pub buckets: [u64; BUCKET_BOUNDS.len()],
-    /// Values above the last bound.
-    pub overflow: u64,
-    /// Total recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: f64,
-}
-
-impl HistogramStat {
-    /// Records one value into the matching bucket.
-    pub fn record(&mut self, v: f64) {
-        match BUCKET_BOUNDS.iter().position(|&b| v <= b) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.count = self.count.saturating_add(1);
-        self.sum += v;
-    }
-}
-
-/// One thread's metric state (spans live here too, so a [`crate::Scope`]
-/// swap isolates everything at once).
-#[derive(Debug, Default)]
-pub struct Registry {
-    pub(crate) counters: HashMap<&'static str, u64>,
-    pub(crate) gauges: HashMap<&'static str, f64>,
-    pub(crate) histograms: HashMap<&'static str, HistogramStat>,
-    pub(crate) digests: HashMap<&'static str, Digest>,
-    pub(crate) spans: HashMap<&'static str, SpanStatInner>,
-}
-
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static STORE: RefCell<Snapshot> = RefCell::new(Snapshot::default());
 }
 
-/// Swaps the current thread's registry, returning the old one
-/// (the mechanism behind [`crate::Scope`]).
-pub(crate) fn swap_registry(new: Registry) -> Registry {
-    REGISTRY.with(|r| std::mem::replace(&mut *r.borrow_mut(), new))
-}
-
-pub(crate) fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    REGISTRY.with(|r| f(&mut r.borrow_mut()))
+pub(crate) fn with_store<T>(f: impl FnOnce(&mut Snapshot) -> T) -> T {
+    STORE.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Adds `n` to the counter `name` (saturating — counters never wrap).
@@ -83,10 +35,7 @@ pub fn counter_add(name: &'static str, n: u64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|r| {
-        let c = r.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(n);
-    });
+    with_store(|s| s.add_counter(name, n));
 }
 
 /// Sets the gauge `name` to `v` (last write wins). No-op while
@@ -96,19 +45,9 @@ pub fn gauge_set(name: &'static str, v: f64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|r| {
-        r.gauges.insert(name, v);
+    with_store(|s| {
+        s.gauges.insert(name, v);
     });
-}
-
-/// Records `v` into the histogram `name`. No-op while collection is
-/// disabled on this thread.
-#[inline]
-pub fn histogram_record(name: &'static str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| r.histograms.entry(name).or_default().record(v));
 }
 
 /// Records `v` (a nanosecond latency or similar `u64` measure) into
@@ -119,99 +58,51 @@ pub fn digest_record(name: &'static str, v: u64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|r| r.digests.entry(name).or_default().record(v));
+    with_store(|s| s.digests.entry(name).or_default().record(v));
 }
 
-/// Clears the current thread's registry.
+/// Clears the current thread's store.
 pub fn reset() {
-    with_registry(|r| *r = Registry::default());
+    with_store(|s| *s = Snapshot::default());
 }
 
-/// Takes the current thread's metrics, leaving the registry empty.
+/// Takes the current thread's metrics, leaving its store empty.
 ///
 /// This is the worker half of cross-thread aggregation: a worker thread
-/// drains its registry just before finishing and hands the [`Snapshot`]
+/// drains its store just before finishing and hands the [`Snapshot`]
 /// to the spawning thread, which folds it in with [`absorb`].
 pub fn drain() -> Snapshot {
-    let snap = snapshot();
-    reset();
-    snap
+    with_store(std::mem::take)
 }
 
-/// Folds a drained worker [`Snapshot`] into the current thread's
-/// registry: counters add (saturating), gauges keep the incoming value
-/// (last write wins, and the worker finished last), histograms add
-/// bucket-wise, spans add calls and times.
-///
-/// Names are resolved against the closed [`crate::schema`] registry —
-/// that is where the `&'static str` keys come from — so entries whose
-/// names are not registered are dropped, exactly as the CI validator
-/// would reject them. No-op while collection is disabled on this
-/// thread.
+/// Folds a drained worker [`Snapshot`] into the current thread's store
+/// with [`Snapshot::merge`]. No-op while collection is disabled on
+/// this thread.
 pub fn absorb(snap: &Snapshot) {
     if !crate::enabled() {
         return;
     }
-    let static_metric = |name: &str| {
-        crate::schema::KNOWN_METRICS.iter().find(|(n, _)| *n == name).map(|(n, _)| *n)
-    };
-    let static_span =
-        |name: &str| crate::schema::KNOWN_SPANS.iter().find(|n| **n == name).copied();
-    with_registry(|r| {
-        for (name, v) in &snap.counters {
-            if let Some(key) = static_metric(name) {
-                let c = r.counters.entry(key).or_insert(0);
-                *c = c.saturating_add(*v);
-            }
-        }
-        for (name, v) in &snap.gauges {
-            if let Some(key) = static_metric(name) {
-                r.gauges.insert(key, *v);
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(key) = static_metric(name) {
-                let into = r.histograms.entry(key).or_default();
-                for (b, add) in into.buckets.iter_mut().zip(&h.buckets) {
-                    *b = b.saturating_add(*add);
-                }
-                into.overflow = into.overflow.saturating_add(h.overflow);
-                into.count = into.count.saturating_add(h.count);
-                into.sum += h.sum;
-            }
-        }
-        for (name, d) in &snap.digests {
-            if let Some(key) = static_metric(name) {
-                r.digests.entry(key).or_default().merge(d);
-            }
-        }
-        for s in &snap.spans {
-            if let Some(key) = static_span(&s.name) {
-                let stat = r
-                    .spans
-                    .entry(key)
-                    .or_insert_with(|| SpanStat { name: key.to_string(), ..SpanStat::default() });
-                stat.calls = stat.calls.saturating_add(s.calls);
-                stat.total_ns = stat.total_ns.saturating_add(s.total_ns);
-                stat.self_ns = stat.self_ns.saturating_add(s.self_ns);
-            }
-        }
-    });
+    with_store(|s| s.merge(snap));
 }
 
-/// A point-in-time copy of the current thread's metrics, ordered by
-/// name for deterministic rendering.
-#[derive(Clone, Debug, Default)]
+/// Copies the current thread's metrics. Works whether or not
+/// collection is enabled (a disabled thread yields an empty report).
+pub fn snapshot() -> Snapshot {
+    with_store(|s| s.clone())
+}
+
+/// A set of metrics keyed by their registered names: one thread's
+/// store, a copy of it, or a fold of several. Maps iterate by name and
+/// `spans` is kept name-sorted, so rendering is deterministic.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
-    /// `(name, value)` counters.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` gauges.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, stat)` histograms.
-    pub histograms: Vec<(String, HistogramStat)>,
-    /// `(name, digest)` exact-percentile digests.
-    pub digests: Vec<(String, Digest)>,
-    /// Aggregated span statistics.
+    /// Counter values.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// Gauge values.
+    pub gauges: BTreeMap<&'static str, f64>,
+    /// Exact-percentile digests.
+    pub digests: BTreeMap<&'static str, Digest>,
+    /// Aggregated span statistics, sorted by name.
     pub spans: Vec<SpanStat>,
 }
 
@@ -220,29 +111,23 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.digests.is_empty()
             && self.spans.is_empty()
     }
 
     /// The value of a counter, if recorded.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.counters.get(name).copied()
     }
 
     /// The value of a gauge, if recorded.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// The stats of a histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        self.gauges.get(name).copied()
     }
 
     /// The stats of an exact-percentile digest, if recorded.
     pub fn digest(&self, name: &str) -> Option<&Digest> {
-        self.digests.iter().find(|(n, _)| n == name).map(|(_, d)| d)
+        self.digests.get(name)
     }
 
     /// The aggregated stats of a span, if recorded.
@@ -250,59 +135,37 @@ impl Snapshot {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Folds another snapshot into this one, registry-free: counters
-    /// add (saturating), gauges keep the incoming value (last write
-    /// wins), histograms add bucket-wise, spans add calls and times.
-    /// Name order stays sorted, so rendering stays deterministic.
-    ///
-    /// This is the aggregation primitive for long-running processes
-    /// (the serving daemon) that fold per-request worker drains into a
-    /// shared `Mutex<Snapshot>` instead of a thread-local registry —
-    /// [`absorb`] requires the destination to be the current thread's
-    /// registry, which a shared aggregate is not.
+    /// Folds another snapshot into this one: counters add (saturating),
+    /// gauges keep the incoming value (last write wins), digests merge
+    /// bucket-wise, spans add calls and times.
     pub fn merge(&mut self, other: &Snapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.counters[i].1 = self.counters[i].1.saturating_add(*v),
-                Err(i) => self.counters.insert(i, (name.clone(), *v)),
-            }
+        for (&name, &n) in &other.counters {
+            self.add_counter(name, n);
         }
-        for (name, v) in &other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.gauges[i].1 = *v,
-                Err(i) => self.gauges.insert(i, (name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => {
-                    let into = &mut self.histograms[i].1;
-                    for (b, add) in into.buckets.iter_mut().zip(&h.buckets) {
-                        *b = b.saturating_add(*add);
-                    }
-                    into.overflow = into.overflow.saturating_add(h.overflow);
-                    into.count = into.count.saturating_add(h.count);
-                    into.sum += h.sum;
-                }
-                Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
-            }
-        }
-        for (name, d) in &other.digests {
-            match self.digests.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.digests[i].1.merge(d),
-                Err(i) => self.digests.insert(i, (name.clone(), d.clone())),
-            }
+        self.gauges.extend(&other.gauges);
+        for (&name, d) in &other.digests {
+            self.digests.entry(name).or_default().merge(d);
         }
         for s in &other.spans {
-            match self.spans.binary_search_by(|e| e.name.cmp(&s.name)) {
-                Ok(i) => {
-                    let stat = &mut self.spans[i];
-                    stat.calls = stat.calls.saturating_add(s.calls);
-                    stat.total_ns = stat.total_ns.saturating_add(s.total_ns);
-                    stat.self_ns = stat.self_ns.saturating_add(s.self_ns);
-                }
-                Err(i) => self.spans.insert(i, s.clone()),
+            self.add_span(s);
+        }
+    }
+
+    fn add_counter(&mut self, name: &'static str, n: u64) {
+        let c = self.counters.entry(name).or_insert(0);
+        *c = c.saturating_add(n);
+    }
+
+    /// Adds `stat`'s calls and times to the span of the same name.
+    pub(crate) fn add_span(&mut self, stat: &SpanStat) {
+        match self.spans.binary_search_by(|s| s.name.cmp(stat.name)) {
+            Ok(i) => {
+                let into = &mut self.spans[i];
+                into.calls = into.calls.saturating_add(stat.calls);
+                into.total_ns = into.total_ns.saturating_add(stat.total_ns);
+                into.self_ns = into.self_ns.saturating_add(stat.self_ns);
             }
+            Err(i) => self.spans.insert(i, *stat),
         }
     }
 
@@ -314,84 +177,25 @@ impl Snapshot {
             .iter()
             .map(|s| {
                 Json::obj([
-                    ("name", Json::str(s.name.clone())),
+                    ("name", Json::str(s.name)),
                     ("calls", Json::Num(s.calls as f64)),
                     ("total_ns", Json::Num(s.total_ns as f64)),
                     ("self_ns", Json::Num(s.self_ns as f64)),
                 ])
             })
             .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|(n, v)| {
-                Json::obj([("name", Json::str(n.clone())), ("value", Json::Num(*v as f64))])
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(n, v)| Json::obj([("name", Json::str(n.clone())), ("value", Json::Num(*v))]))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let mut buckets: Vec<Json> = BUCKET_BOUNDS
-                    .iter()
-                    .zip(&h.buckets)
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(&le, &c)| {
-                        Json::obj([("le", Json::Num(le)), ("count", Json::Num(c as f64))])
-                    })
-                    .collect();
-                if h.overflow > 0 {
-                    buckets.push(Json::obj([
-                        ("le", Json::Null),
-                        ("count", Json::Num(h.overflow as f64)),
-                    ]));
-                }
-                Json::obj([
-                    ("name", Json::str(n.clone())),
-                    ("count", Json::Num(h.count as f64)),
-                    ("sum", Json::Num(h.sum)),
-                    ("buckets", Json::Arr(buckets)),
-                ])
-            })
-            .collect();
+        let value = |n: &str, v: f64| Json::obj([("name", Json::str(n)), ("value", Json::Num(v))]);
+        let counters = self.counters.iter().map(|(n, v)| value(n, *v as f64)).collect();
+        let gauges = self.gauges.iter().map(|(n, v)| value(n, *v)).collect();
         let digests = self.digests.iter().map(|(n, d)| d.to_json(n)).collect();
         Json::obj([
             ("schema_version", Json::Num(crate::schema::SCHEMA_VERSION as f64)),
             ("spans", Json::Arr(spans)),
             ("counters", Json::Arr(counters)),
             ("gauges", Json::Arr(gauges)),
-            ("histograms", Json::Arr(histograms)),
             ("digests", Json::Arr(digests)),
         ])
     }
-}
-
-/// Copies the current thread's metrics into a [`Snapshot`]. Works
-/// whether or not collection is enabled (a disabled thread yields an
-/// empty report).
-pub fn snapshot() -> Snapshot {
-    with_registry(|r| {
-        let mut counters: Vec<(String, u64)> =
-            r.counters.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-        counters.sort();
-        let mut gauges: Vec<(String, f64)> =
-            r.gauges.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, HistogramStat)> =
-            r.histograms.iter().map(|(n, h)| (n.to_string(), h.clone())).collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut digests: Vec<(String, Digest)> =
-            r.digests.iter().map(|(n, d)| (n.to_string(), d.clone())).collect();
-        digests.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut spans: Vec<SpanStat> = r.spans.values().cloned().collect();
-        spans.sort_by(|a, b| a.name.cmp(&b.name));
-        Snapshot { counters, gauges, histograms, digests, spans }
-    })
 }
 
 #[cfg(test)]
@@ -422,35 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_boundaries_are_inclusive() {
-        let _scope = Scope::enter();
-        // Exactly on a bound → that bucket; just above → the next.
-        histogram_record("spcf.short_path.output_ns", 1.0);
-        histogram_record("spcf.short_path.output_ns", 1.5);
-        histogram_record("spcf.short_path.output_ns", 2.0);
-        histogram_record("spcf.short_path.output_ns", 2.0001);
-        histogram_record("spcf.short_path.output_ns", 1e9);
-        histogram_record("spcf.short_path.output_ns", 1e9 + 1.0);
-        let snap = snapshot();
-        let h = snap.histogram("spcf.short_path.output_ns").expect("recorded");
-        assert_eq!(h.buckets[0], 1, "v=1.0 lands in le=1");
-        assert_eq!(h.buckets[1], 2, "v=1.5 and v=2.0 land in le=2");
-        assert_eq!(h.buckets[2], 1, "v=2.0001 lands in le=5");
-        assert_eq!(h.buckets[BUCKET_BOUNDS.len() - 1], 1, "v=1e9 lands in the last bucket");
-        assert_eq!(h.overflow, 1, "v>1e9 lands in the overflow bucket");
-        assert_eq!(h.count, 6);
-        let expect_sum = 1.0 + 1.5 + 2.0 + 2.0001 + 1e9 + (1e9 + 1.0);
-        assert!((h.sum - expect_sum).abs() < 1e-6);
-    }
-
-    #[test]
     fn snapshot_orders_by_name() {
         let _scope = Scope::enter();
         counter_add("spcf.short_path.memo_miss", 1);
         counter_add("bdd.cache.hits", 1);
         counter_add("monitor.trace.dropped", 1);
         let snap = snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.counters.keys().copied().collect();
         assert_eq!(
             names,
             vec![
@@ -466,22 +248,21 @@ mod tests {
         let _scope = Scope::enter();
         counter_add("spcf.short_path.stab_calls", 3);
         gauge_set("bdd.nodes", 5.0);
-        histogram_record("spcf.short_path.output_ns", 3.0);
+        digest_record("spcf.short_path.output_ns", 3);
         {
             let _span = crate::span!("spcf.short_path");
         }
 
         // A "worker" snapshot as another thread would have drained it.
         let mut worker = Snapshot::default();
-        worker.counters.push(("spcf.short_path.stab_calls".to_string(), 4));
-        worker.counters.push(("not.registered".to_string(), 99));
-        worker.gauges.push(("bdd.nodes".to_string(), 9.0));
-        let mut h = HistogramStat::default();
-        h.record(1.5);
-        h.record(2e12);
-        worker.histograms.push(("spcf.short_path.output_ns".to_string(), h));
+        worker.counters.insert("spcf.short_path.stab_calls", 4);
+        worker.gauges.insert("bdd.nodes", 9.0);
+        let mut d = Digest::default();
+        d.record(1);
+        d.record(2_000_000_000_000);
+        worker.digests.insert("spcf.short_path.output_ns", d);
         worker.spans.push(SpanStat {
-            name: "spcf.short_path".to_string(),
+            name: "spcf.short_path",
             calls: 2,
             total_ns: 100,
             self_ns: 80,
@@ -490,11 +271,9 @@ mod tests {
         absorb(&worker);
         let snap = snapshot();
         assert_eq!(snap.counter("spcf.short_path.stab_calls"), Some(7));
-        assert_eq!(snap.counter("not.registered"), None, "unknown names are dropped");
         assert_eq!(snap.gauge("bdd.nodes"), Some(9.0), "worker gauge wins");
-        let merged = snap.histogram("spcf.short_path.output_ns").expect("merged");
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.overflow, 1);
+        let merged = snap.digest("spcf.short_path.output_ns").expect("merged");
+        assert_eq!((merged.count, merged.min, merged.max), (3, 1, 2_000_000_000_000));
         let span = snap.span("spcf.short_path").expect("merged span");
         assert_eq!(span.calls, 3);
         assert!(span.total_ns >= 100, "worker time folded in: {span:?}");
@@ -505,52 +284,36 @@ mod tests {
     fn merge_is_registry_free_and_keeps_name_order() {
         let mut agg = Snapshot::default();
         let mut a = Snapshot::default();
-        a.counters.push(("serve.requests".to_string(), 2));
-        a.gauges.push(("serve.pool.sessions".to_string(), 1.0));
-        let mut h = HistogramStat::default();
-        h.record(3.0);
-        a.histograms.push(("spcf.short_path.output_ns".to_string(), h));
+        a.counters.insert("serve.requests", 2);
+        a.gauges.insert("serve.pool.sessions", 1.0);
         let mut d = Digest::default();
         d.record(3);
-        a.digests.push(("serve.request_ns".to_string(), d));
-        a.spans.push(SpanStat {
-            name: "serve.request".to_string(),
-            calls: 2,
-            total_ns: 50,
-            self_ns: 40,
-        });
+        a.digests.insert("serve.request_ns", d);
+        a.spans.push(SpanStat { name: "serve.request", calls: 2, total_ns: 50, self_ns: 40 });
         let mut b = Snapshot::default();
-        b.counters.push(("serve.pool.hits".to_string(), 1));
-        b.counters.push(("serve.requests".to_string(), 3));
-        b.gauges.push(("serve.pool.sessions".to_string(), 4.0));
-        let mut h2 = HistogramStat::default();
-        h2.record(2e12);
-        b.histograms.push(("spcf.short_path.output_ns".to_string(), h2));
+        b.counters.insert("serve.pool.hits", 1);
+        b.counters.insert("serve.requests", 3);
+        b.gauges.insert("serve.pool.sessions", 4.0);
         let mut d2 = Digest::default();
         d2.record(2_000_000_000_000);
-        b.digests.push(("serve.request_ns".to_string(), d2));
-        b.spans.push(SpanStat {
-            name: "serve.request".to_string(),
-            calls: 1,
-            total_ns: 10,
-            self_ns: 10,
-        });
+        b.digests.insert("serve.request_ns", d2);
+        b.spans.push(SpanStat { name: "serve.request", calls: 1, total_ns: 10, self_ns: 10 });
+        b.spans.push(SpanStat { name: "fleet.run", calls: 1, total_ns: 7, self_ns: 7 });
         agg.merge(&a);
         agg.merge(&b);
         assert_eq!(agg.counter("serve.requests"), Some(5));
         assert_eq!(agg.counter("serve.pool.hits"), Some(1));
-        let names: Vec<&str> = agg.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = agg.counters.keys().copied().collect();
         assert_eq!(names, vec!["serve.pool.hits", "serve.requests"], "sorted after merge");
         assert_eq!(agg.gauge("serve.pool.sessions"), Some(4.0), "last write wins");
-        let merged = agg.histogram("spcf.short_path.output_ns").expect("merged");
-        assert_eq!(merged.count, 2);
-        assert_eq!(merged.overflow, 1);
         let digest = agg.digest("serve.request_ns").expect("merged digest");
         assert_eq!(digest.count, 2);
         assert_eq!(digest.min, 3);
         assert_eq!(digest.max, 2_000_000_000_000);
         let span = agg.span("serve.request").expect("merged span");
         assert_eq!((span.calls, span.total_ns, span.self_ns), (3, 60, 50));
+        let spans: Vec<&str> = agg.spans.iter().map(|s| s.name).collect();
+        assert_eq!(spans, vec!["fleet.run", "serve.request"], "spans stay name-sorted");
         // A merged aggregate renders to a schema-valid report.
         let parsed = Json::parse(&agg.to_json().render()).expect("parses");
         crate::schema::validate(&parsed).expect("merged aggregate is schema-valid");
@@ -579,7 +342,7 @@ mod tests {
             absorb(w);
         }
         assert_eq!(snapshot().counter("sim.timing.events"), Some(31));
-        // drain leaves the worker registry empty — verified locally too.
+        // drain leaves the worker store empty — verified locally too.
         counter_add("sim.timing.events", 1);
         let drained = drain();
         assert_eq!(drained.counter("sim.timing.events"), Some(32));
@@ -591,8 +354,8 @@ mod tests {
         let _scope = Scope::enter();
         counter_add("bdd.unique.hits", 41);
         gauge_set("spcf.short_path.memo_entries", 12.0);
-        histogram_record("spcf.path_based.output_ns", 1234.0);
-        histogram_record("spcf.path_based.output_ns", 2e12); // overflow
+        digest_record("spcf.path_based.output_ns", 1234);
+        digest_record("spcf.path_based.output_ns", 2_000_000_000_000);
         {
             let _outer = crate::span!("masking.synthesize");
             let _inner = crate::span!("masking.spcf");
@@ -604,8 +367,9 @@ mod tests {
         let counters = parsed.get("counters").and_then(Json::as_arr).expect("counters");
         assert_eq!(counters[0].get("name").and_then(Json::as_str), Some("bdd.unique.hits"));
         assert_eq!(counters[0].get("value").and_then(Json::as_num), Some(41.0));
-        let hists = parsed.get("histograms").and_then(Json::as_arr).expect("histograms");
-        let buckets = hists[0].get("buckets").and_then(Json::as_arr).expect("buckets");
-        assert_eq!(buckets.last().and_then(|b| b.get("le")), Some(&Json::Null));
+        let digests = parsed.get("digests").and_then(Json::as_arr).expect("digests");
+        assert_eq!(digests[0].get("count").and_then(Json::as_num), Some(2.0));
+        assert_eq!(digests[0].get("max").and_then(Json::as_num), Some(2e12));
+        assert!(parsed.get("histograms").is_none(), "no fixed-bucket section");
     }
 }

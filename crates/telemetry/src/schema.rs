@@ -9,8 +9,9 @@
 
 use tm_testkit::json::Json;
 
-/// Version stamped into every report under `schema_version`.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version stamped into every report under `schema_version`. Version 2
+/// dropped the fixed-bucket `histograms` section and requires `digests`.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The kind of a registered metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,8 +20,6 @@ pub enum MetricKind {
     Counter,
     /// Last-write-wins `f64` level.
     Gauge,
-    /// Fixed-bucket distribution (see [`crate::BUCKET_BOUNDS`]).
-    Histogram,
     /// Log-linear exact-percentile digest (see [`crate::digest::Digest`]).
     Digest,
 }
@@ -46,11 +45,11 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("spcf.short_path.memo_miss", MetricKind::Counter),
     ("spcf.short_path.stab_calls", MetricKind::Counter),
     ("spcf.short_path.memo_entries", MetricKind::Gauge),
-    ("spcf.short_path.output_ns", MetricKind::Histogram),
+    ("spcf.short_path.output_ns", MetricKind::Digest),
     ("spcf.path_based.waveform_nodes", MetricKind::Counter),
-    ("spcf.path_based.output_ns", MetricKind::Histogram),
+    ("spcf.path_based.output_ns", MetricKind::Digest),
     ("spcf.node_based.critical_gates", MetricKind::Counter),
-    ("spcf.node_based.output_ns", MetricKind::Histogram),
+    ("spcf.node_based.output_ns", MetricKind::Digest),
     // tm-core: masking synthesis and verification.
     ("masking.synth.cubes_considered", MetricKind::Counter),
     ("masking.synth.cubes_kept", MetricKind::Counter),
@@ -79,9 +78,6 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("serve.pool.misses", MetricKind::Counter),
     ("serve.pool.evictions", MetricKind::Counter),
     ("serve.pool.sessions", MetricKind::Gauge),
-    // Serving latencies are digests, not fixed-bucket histograms: SLO
-    // questions need exact percentiles (p99 read off a 2–5 ms bucket
-    // can be wrong by 2.5×).
     ("serve.request_ns", MetricKind::Digest),
     ("serve.queue_ns", MetricKind::Digest),
     // Flight recorder (crate::flight): per-request trace accounting.
@@ -211,12 +207,11 @@ fn well_formed_name(name: &str) -> bool {
 /// Validates a parsed metrics report against the schema.
 ///
 /// Checks: the top-level structure (`schema_version`, `spans`,
-/// `counters`, `gauges`, `histograms` arrays with the expected per-entry
+/// `counters`, `gauges`, `digests` arrays with the expected per-entry
 /// fields), that every name is well-formed and registered above with
-/// the right kind, and histogram internals (bucket counts sum to
-/// `count`, `le` bounds strictly increasing with an optional trailing
-/// `null` overflow bucket). Returns every problem found, not just the
-/// first.
+/// the right kind, and digest internals (percentiles monotone, bucket
+/// indices strictly increasing, bucket counts summing to `count`).
+/// Returns every problem found, not just the first.
 pub fn validate(report: &Json) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
 
@@ -226,15 +221,11 @@ pub fn validate(report: &Json) -> Result<(), Vec<String>> {
         None => errs.push("missing numeric schema_version".to_string()),
     }
 
-    for section in ["spans", "counters", "gauges", "histograms"] {
+    for section in ["spans", "counters", "gauges", "digests"] {
         if report.get(section).and_then(Json::as_arr).is_none() {
             errs.push(format!("missing array section `{section}`"));
         }
     }
-    if !errs.is_empty() && report.get("spans").is_none() {
-        return Err(errs);
-    }
-
     for entry in report.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
         check_name(&mut errs, entry, "spans", None);
         for field in ["calls", "total_ns", "self_ns"] {
@@ -266,56 +257,6 @@ pub fn validate(report: &Json) -> Result<(), Vec<String>> {
         }
     }
 
-    for entry in report.get("histograms").and_then(Json::as_arr).unwrap_or(&[]) {
-        let name = check_name(&mut errs, entry, "histograms", Some(MetricKind::Histogram))
-            .unwrap_or_else(|| "<unnamed>".to_string());
-        let count = entry.get("count").and_then(Json::as_num);
-        if count.is_none() {
-            errs.push(format!("histograms: `{name}` missing numeric `count`"));
-        }
-        if entry.get("sum").and_then(Json::as_num).is_none() {
-            errs.push(format!("histograms: `{name}` missing numeric `sum`"));
-        }
-        let Some(buckets) = entry.get("buckets").and_then(Json::as_arr) else {
-            errs.push(format!("histograms: `{name}` missing `buckets` array"));
-            continue;
-        };
-        let mut bucket_total = 0.0;
-        let mut prev_le = f64::NEG_INFINITY;
-        for (i, b) in buckets.iter().enumerate() {
-            match b.get("count").and_then(Json::as_num) {
-                Some(c) => bucket_total += c,
-                None => errs.push(format!("histograms: `{name}` bucket {i} missing `count`")),
-            }
-            match b.get("le") {
-                Some(Json::Null) => {
-                    if i + 1 != buckets.len() {
-                        errs.push(format!(
-                            "histograms: `{name}` overflow bucket (le: null) not last"
-                        ));
-                    }
-                }
-                Some(j) => match j.as_num() {
-                    Some(le) if le > prev_le => prev_le = le,
-                    Some(le) => errs.push(format!(
-                        "histograms: `{name}` bucket bounds not increasing at le={le}"
-                    )),
-                    None => errs.push(format!("histograms: `{name}` bucket {i} bad `le`")),
-                },
-                None => errs.push(format!("histograms: `{name}` bucket {i} missing `le`")),
-            }
-        }
-        if let Some(c) = count {
-            if (bucket_total - c).abs() > 0.5 {
-                errs.push(format!(
-                    "histograms: `{name}` bucket counts sum to {bucket_total}, count is {c}"
-                ));
-            }
-        }
-    }
-
-    // The digests section is optional (reports predating schema
-    // additions omit it) but validated strictly when present.
     for entry in report.get("digests").and_then(Json::as_arr).unwrap_or(&[]) {
         let name = check_name(&mut errs, entry, "digests", Some(MetricKind::Digest))
             .unwrap_or_else(|| "<unnamed>".to_string());
@@ -429,8 +370,7 @@ mod tests {
     #[test]
     fn validates_digest_entries() {
         let report = Json::parse(
-            r#"{"schema_version": 1, "spans": [], "counters": [], "gauges": [],
-                "histograms": [],
+            r#"{"schema_version": 2, "spans": [], "counters": [], "gauges": [],
                 "digests": [{"name": "serve.request_ns", "count": 2, "sum": 30, "min": 10,
                              "max": 20, "p50": 25, "p90": 18, "p95": 19, "p99": 20,
                              "buckets": [{"b": 10, "count": 1}, {"b": 10, "count": 2}]}]}"#,
@@ -442,8 +382,7 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("sum to 3")), "{errs:?}");
 
         let good = Json::parse(
-            r#"{"schema_version": 1, "spans": [], "counters": [], "gauges": [],
-                "histograms": [],
+            r#"{"schema_version": 2, "spans": [], "counters": [], "gauges": [],
                 "digests": [{"name": "serve.queue_ns", "count": 2, "sum": 30, "min": 10,
                              "max": 20, "p50": 10, "p90": 20, "p95": 20, "p99": 20,
                              "buckets": [{"b": 10, "count": 1}, {"b": 20, "count": 1}]}]}"#,
@@ -453,13 +392,27 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_v1_report() {
+        // Version 1 carried fixed-bucket `histograms` and no `digests`.
+        let report = Json::parse(
+            r#"{"schema_version": 1, "spans": [], "counters": [], "gauges": [],
+                "histograms": [{"name": "spcf.short_path.output_ns", "count": 1, "sum": 3,
+                                "buckets": [{"le": 5, "count": 1}]}]}"#,
+        )
+        .unwrap();
+        let errs = validate(&report).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("schema_version 1 != 2")), "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("missing array section `digests`")), "{errs:?}");
+    }
+
+    #[test]
     fn rejects_unknown_and_miskinded_names() {
         let report = Json::parse(
-            r#"{"schema_version": 1,
+            r#"{"schema_version": 2,
                 "spans": [{"name": "spcf.bogus", "calls": 1, "total_ns": 5, "self_ns": 5}],
                 "counters": [{"name": "bdd.nodes", "value": 3}],
                 "gauges": [],
-                "histograms": []}"#,
+                "digests": []}"#,
         )
         .unwrap();
         let errs = validate(&report).unwrap_err();
@@ -473,18 +426,18 @@ mod tests {
     #[test]
     fn rejects_self_exceeding_total_and_bad_buckets() {
         let report = Json::parse(
-            r#"{"schema_version": 1,
+            r#"{"schema_version": 2,
                 "spans": [{"name": "spcf.short_path", "calls": 1, "total_ns": 5, "self_ns": 9}],
                 "counters": [],
                 "gauges": [],
-                "histograms": [{"name": "spcf.short_path.output_ns", "count": 2, "sum": 30,
-                                "buckets": [{"le": 10, "count": 1}, {"le": 10, "count": 2}]}]}"#,
+                "digests": [{"name": "spcf.short_path.output_ns", "count": 2, "sum": 30,
+                             "min": 10, "max": 20, "p50": 10, "p90": 20, "p95": 20,
+                             "p99": 20, "buckets": [{"b": 10}, {"b": 20, "count": 2}]}]}"#,
         )
         .unwrap();
         let errs = validate(&report).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("self_ns 9 > total_ns 5")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("not increasing")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("sum to 3")), "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("bucket 0 missing `count`")), "{errs:?}");
     }
 
     #[test]
@@ -492,8 +445,8 @@ mod tests {
         let _scope = crate::Scope::enter();
         crate::counter_add("spcf.short_path.memo_hit", 7);
         crate::gauge_set("bdd.nodes", 42.0);
-        crate::histogram_record("spcf.short_path.output_ns", 1234.0);
-        crate::histogram_record("spcf.short_path.output_ns", 5e12); // overflow bucket
+        crate::digest_record("spcf.short_path.output_ns", 1234);
+        crate::digest_record("spcf.short_path.output_ns", 5_000_000_000_000);
         {
             let _span = crate::span!("spcf.short_path");
         }

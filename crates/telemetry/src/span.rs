@@ -12,15 +12,15 @@
 //! let _span = tm_telemetry::span!("spcf.short_path", net = net);
 //! ```
 
-use crate::metrics::with_registry;
+use crate::metrics::with_store;
 use std::cell::RefCell;
 use std::time::Instant;
 
 /// Aggregated statistics of one span name on one thread.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SpanStat {
     /// Span name (`crate.subsystem` form, from [`crate::schema`]).
-    pub name: String,
+    pub name: &'static str,
     /// Number of completed spans with this name.
     pub calls: u64,
     /// Wall time including children, in nanoseconds.
@@ -94,15 +94,7 @@ impl Drop for SpanGuard {
                 parent.child_ns = parent.child_ns.saturating_add(total_ns);
             }
         });
-        with_registry(|r| {
-            let stat = r.spans.entry(frame.name).or_insert_with(|| SpanStat {
-                name: frame.name.to_string(),
-                ..SpanStat::default()
-            });
-            stat.calls += 1;
-            stat.total_ns = stat.total_ns.saturating_add(total_ns);
-            stat.self_ns = stat.self_ns.saturating_add(self_ns);
-        });
+        with_store(|s| s.add_span(&SpanStat { name: frame.name, calls: 1, total_ns, self_ns }));
         if crate::trace_level() >= 2 {
             let depth = STACK.with(|s| s.borrow().len());
             eprintln!(

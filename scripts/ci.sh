@@ -8,8 +8,9 @@
 #    tree compiles and passes with no network and no registry cache.
 # 3. Smoke-run the SPCF bench with telemetry enabled and validate the
 #    emitted metrics snapshot against the closed schema registry
-#    (unknown metric names, malformed histograms, or a schema-version
-#    bump all fail CI here, not in a downstream dashboard).
+#    (unknown metric names, malformed digests, or a schema-version
+#    bump all fail CI here, not in a downstream dashboard), and require
+#    a nonzero short-path per-output latency digest.
 # 4. Panic audit (DESIGN.md §7): non-test library code may only contain
 #    panic-capable calls (`unwrap()`, `expect(`, `panic!(`) in files
 #    allowlisted — with justification — in scripts/panic_allowlist.txt.
@@ -72,7 +73,8 @@ rm -f "$metrics_json"
 cargo bench -q --offline -p tm-bench --bench spcf_algorithms -- \
     --samples 1 --smoke --metrics-out "$metrics_json"
 test -s "$metrics_json" || { echo "ERROR: bench wrote no metrics snapshot" >&2; exit 1; }
-cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- "$metrics_json"
+cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
+    --require-nonzero spcf.short_path.output_ns "$metrics_json"
 
 echo "== BDD micro-bench smoke + cache-stats sanity =="
 # The bdd_ops kernels exercise the hot core directly; any SPCF workload
