@@ -11,7 +11,7 @@ use tm_testkit::bench::BenchGroup;
 
 fn main() {
     let args = BenchArgs::parse();
-    let base = MaskingOptions { jobs: args.jobs(), ..Default::default() };
+    let base = MaskingOptions::default();
     let lib = harness_library();
 
     let nl = smoke_suite()[0].build(lib.clone());

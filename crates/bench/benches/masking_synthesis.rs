@@ -11,7 +11,7 @@ use tm_testkit::bench::BenchGroup;
 fn main() {
     let args = BenchArgs::parse();
     let lib = harness_library();
-    let options = MaskingOptions { jobs: args.jobs(), ..Default::default() };
+    let options = MaskingOptions::default();
 
     let mut group = BenchGroup::new("masking_synthesis");
     group.sample_size(10);

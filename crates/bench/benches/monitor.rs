@@ -15,7 +15,7 @@ fn main() {
     let args = BenchArgs::parse();
     let lib = harness_library();
     let nl = smoke_suite()[0].build(lib);
-    let design = synthesize(&nl, MaskingOptions { jobs: args.jobs(), ..Default::default() }).design;
+    let design = synthesize(&nl, MaskingOptions::default()).design;
 
     let mut group = BenchGroup::new("monitor");
     group.sample_size(10);

@@ -2,16 +2,15 @@
 //! in-repo `tm-testkit` harness (JSON report in `target/tm-bench/`).
 //!
 //! Flags (see [`BenchArgs`]): `--samples N`, `--metrics-out PATH`,
-//! `--smoke` to run the small smoke suite instead of the three largest
-//! Table 1 circuits, and `--jobs N` to shard critical outputs across N
-//! workers (recorded in the report's `meta.jobs`).
+//! and `--smoke` to run the small smoke suite instead of the three
+//! largest Table 1 circuits.
 
 use std::hint::black_box;
 use tm_bench::{harness_library, BenchArgs};
 use tm_logic::Bdd;
 use tm_netlist::suites::{smoke_suite, table1_suite};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, WarmSession};
 use tm_sta::Sta;
 use tm_testkit::bench::BenchGroup;
 
@@ -24,7 +23,6 @@ fn main() {
     // Node-store variant for the BENCH_spcf.json perf trajectory:
     // 0 = HashMap plain ROBDD (seed), 1 = complement-edge SoA store.
     group.meta("variant", 1.0);
-    let options = SpcfOptions::default().with_jobs(args.jobs());
     let suite = if args.smoke { smoke_suite() } else { table1_suite() };
     for entry in suite.iter().take(3) {
         let nl = entry.build(lib.clone());
@@ -37,7 +35,7 @@ fn main() {
         ] {
             group.bench(&format!("{id}/{}", entry.name), || {
                 let mut bdd = Bdd::new(nl.inputs().len());
-                black_box(spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options).outputs.len())
+                black_box(spcf_with(algorithm, &nl, &sta, &mut bdd, target).outputs.len())
             });
         }
         // The 8-point protection-band sweep kernel (sweep.rs inner

@@ -19,13 +19,12 @@ use tm_masking::{
 };
 use tm_netlist::extract::ExtractOptions;
 use tm_netlist::suites::smoke_suite;
-use tm_spcf::SpcfOptions;
 use tm_sim::patterns::random_vectors;
 use tm_sta::Sta;
 
 fn main() {
     let lib = harness_library();
-    let base = MaskingOptions { jobs: SpcfOptions::jobs_from_env(), ..Default::default() };
+    let base = MaskingOptions::default();
     let circuits: Vec<_> = smoke_suite().iter().map(|e| e.build(lib.clone())).collect();
 
     println!("Ablation 1: essential-weight cube selection vs full covers");

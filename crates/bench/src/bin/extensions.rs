@@ -18,15 +18,13 @@ use tm_monitor::razor::RazorModel;
 use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_sim::aging::AgingModel;
 use tm_sim::patterns::random_vectors;
-use tm_spcf::SpcfOptions;
 use tm_sta::Sta;
 
 fn main() {
     let lib = harness_library();
     let spec = GeneratorSpec::sized("ext_ctrl", 32, 12, 200);
     let circuit = generate(&spec, lib);
-    let options = MaskingOptions { jobs: SpcfOptions::jobs_from_env(), ..Default::default() };
-    let result = synthesize(&circuit, options);
+    let result = synthesize(&circuit, MaskingOptions::default());
     let clock = Sta::new(&circuit).critical_path_delay();
     println!(
         "circuit: {} ({} gates), masking slack {:.1}%, area overhead {:.1}%",

@@ -17,12 +17,10 @@
 use tm_bench::harness_library;
 use tm_masking::{synthesize_sweep, MaskingOptions};
 use tm_netlist::suites::table1_suite;
-use tm_spcf::SpcfOptions;
 use tm_sta::Sta;
 
 fn main() {
     let lib = harness_library();
-    let jobs = SpcfOptions::jobs_from_env();
     let fractions = [0.99, 0.95, 0.90, 0.85, 0.80, 0.70, 0.60, 0.50];
     println!("Protection-band sweep (warm short-path SPCF; stand-in circuits)");
     for entry in table1_suite().iter().take(3) {
@@ -35,8 +33,7 @@ fn main() {
             delta
         );
         println!("  Δy/Δ   crit POs   SPCF fraction   masking area%   masking slack%   compute");
-        let options = MaskingOptions { jobs, ..Default::default() };
-        for p in synthesize_sweep(&nl, &fractions, &options) {
+        for p in synthesize_sweep(&nl, &fractions, &MaskingOptions::default()) {
             println!(
                 "  {:.2}   {:>8}   {:>13.3e}   {:>13.1}   {:>14.1}   {:>7.1?}",
                 p.fraction,

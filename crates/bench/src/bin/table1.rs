@@ -2,17 +2,16 @@
 //! speed-path characteristic function with the three approaches.
 //!
 //! Run with: `cargo run -p tm-bench --release --bin table1`
-//! (set `TM_SPCF_JOBS=N` to shard each engine's critical outputs
-//! across N workers — the pattern counts are identical for every N).
+//!
+//! Each row runs the three engines as warm sessions over one shared
+//! BDD manager (see [`tm_bench::run_table1_row`]).
 
 use tm_bench::{harness_library, run_table1_row, seconds};
 use tm_netlist::suites::table1_suite;
-use tm_spcf::SpcfOptions;
 
 fn main() {
     let lib = harness_library();
-    let jobs = SpcfOptions::jobs_from_env();
-    println!("Table 1: accuracy vs runtime for computing the SPCF (Δ_y = 0.9Δ, jobs = {jobs})");
+    println!("Table 1: accuracy vs runtime for computing the SPCF (Δ_y = 0.9Δ)");
     println!("(critical patterns summed over critical outputs; stand-in circuits, see DESIGN.md)");
     println!();
     println!(
@@ -30,10 +29,7 @@ fn main() {
     let mut over_count = 0usize;
     let mut pb_vs_nb = 0.0;
     let mut sp_vs_nb = 0.0;
-    let rows: Vec<_> = table1_suite()
-        .iter()
-        .map(|e| run_table1_row(e, lib.clone(), jobs))
-        .collect();
+    let rows: Vec<_> = table1_suite().iter().map(|e| run_table1_row(e, lib.clone())).collect();
     for row in &rows {
         println!(
             "{:<18} {:>4}/{:<4} {:>6} | {:>13.3e} {:>8} | {:>13.3e} {:>8} | {:>13.3e} {:>8}",

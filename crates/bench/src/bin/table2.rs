@@ -5,11 +5,9 @@
 
 use tm_bench::{harness_library, run_table2_row};
 use tm_netlist::suites::table2_suite;
-use tm_spcf::SpcfOptions;
 
 fn main() {
     let lib = harness_library();
-    let jobs = SpcfOptions::jobs_from_env();
     println!("Table 2: area and power overhead for 100% masking of timing errors (Δ_y = 0.9Δ)");
     println!("(stand-in circuits with the paper's interfaces; see DESIGN.md §3)");
     println!();
@@ -34,7 +32,7 @@ fn main() {
     let mut protected_rows = 0usize;
     let mut all_verified = true;
     for entry in table2_suite() {
-        let row = run_table2_row(&entry, lib.clone(), jobs);
+        let row = run_table2_row(&entry, lib.clone());
         let r = &row.result.report;
         println!(
             "{:<18} {:>4}/{:<4} {:>6} {:>9} {:>13.3e} {:>8.1} {:>8.1} {:>8.1} {:>8.0}% {:>9}",

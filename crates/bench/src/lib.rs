@@ -25,7 +25,7 @@ use tm_masking::{synthesize, verify, MaskingOptions, MaskingResult};
 use tm_netlist::library::{lsi10k_like, Library};
 use tm_netlist::suites::SuiteEntry;
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{Algorithm, WarmSession};
 use tm_sta::Sta;
 
 /// One algorithm's measurement in a Table 1 row.
@@ -54,41 +54,15 @@ pub struct Table1Row {
     pub short_path: SpcfMeasurement,
 }
 
-/// Runs the three SPCF engines on one suite circuit at `Δ_y = 0.9Δ`,
-/// sharding critical outputs across `jobs` workers (1 = serial; the
-/// pattern counts are identical for every value).
-pub fn run_table1_row(entry: &SuiteEntry, library: Arc<Library>, jobs: usize) -> Table1Row {
+/// Runs the three SPCF engines on one suite circuit at `Δ_y = 0.9Δ`.
+pub fn run_table1_row(entry: &SuiteEntry, library: Arc<Library>) -> Table1Row {
     let nl = entry.build(library);
     let sta = Sta::new(&nl);
     let target = sta.critical_path_delay() * 0.9;
 
-    if jobs > 1 {
-        // Parallel path: shard critical outputs across workers; each
-        // worker owns a manager, so warm sharing does not apply.
-        let options = SpcfOptions::default().with_jobs(jobs);
-        let measure = |algorithm: Algorithm| -> SpcfMeasurement {
-            let mut bdd = Bdd::new(nl.inputs().len());
-            let set = spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options);
-            SpcfMeasurement {
-                critical_patterns: set.critical_pattern_count(&bdd),
-                runtime: set.runtime,
-            }
-        };
-        return Table1Row {
-            circuit: entry.name.to_string(),
-            io: (nl.inputs().len(), nl.outputs().len()),
-            gates: nl.num_gates(),
-            node_based: measure(Algorithm::NodeBased),
-            path_based: measure(Algorithm::PathBased),
-            short_path: measure(Algorithm::ShortPath),
-        };
-    }
-
-    // Serial path: the three engines run as warm sessions over one
-    // shared manager, so unique-table nodes (global BDDs, literal
-    // cubes) built by one engine are cache hits for the next. Pattern
-    // counts are identical to the parallel path (the determinism suite
-    // checks the exports bit-for-bit).
+    // The three engines run as warm sessions over one shared manager,
+    // so unique-table nodes (global BDDs, literal cubes) built by one
+    // engine are cache hits for the next.
     let mut bdd = Bdd::new(nl.inputs().len());
     let mut measure = |algorithm: Algorithm| -> SpcfMeasurement {
         let mut session = WarmSession::new(algorithm, &nl, &sta, &mut bdd, Budget::unlimited());
@@ -120,11 +94,10 @@ pub struct Table2Row {
     pub verified: bool,
 }
 
-/// Synthesizes and verifies masking for one suite circuit, with `jobs`
-/// SPCF workers.
-pub fn run_table2_row(entry: &SuiteEntry, library: Arc<Library>, jobs: usize) -> Table2Row {
+/// Synthesizes and verifies masking for one suite circuit.
+pub fn run_table2_row(entry: &SuiteEntry, library: Arc<Library>) -> Table2Row {
     let nl = entry.build(library);
-    let mut result = synthesize(&nl, MaskingOptions { jobs, ..Default::default() });
+    let mut result = synthesize(&nl, MaskingOptions::default());
     let verdict = verify(&mut result);
     Table2Row {
         coverage: verdict.coverage(),
@@ -147,9 +120,7 @@ pub fn harness_library() -> Arc<Library> {
 ///   the JSON snapshot to PATH on [`BenchArgs::write_metrics`]
 ///   (`TM_METRICS_OUT` is the env equivalent);
 /// - `--smoke` — benches that offer it substitute a small fast circuit
-///   suite (CI uses this to validate the metrics pipeline cheaply);
-/// - `--jobs N` — SPCF worker threads ([`tm_spcf::JOBS_ENV`] is the env
-///   equivalent; the flag wins). Results are identical for every value.
+///   suite (CI uses this to validate the metrics pipeline cheaply).
 ///
 /// Unrecognized flags (e.g. cargo's own `--bench`) are ignored.
 #[derive(Clone, Debug, Default)]
@@ -160,8 +131,6 @@ pub struct BenchArgs {
     pub metrics_out: Option<String>,
     /// Prefer the small smoke suite over the full workload.
     pub smoke: bool,
-    /// SPCF worker-count override (`--jobs`).
-    pub jobs: Option<usize>,
 }
 
 impl BenchArgs {
@@ -181,10 +150,6 @@ impl BenchArgs {
                     out.metrics_out = argv.get(i + 1).cloned();
                     i += 1;
                 }
-                "--jobs" => {
-                    out.jobs = argv.get(i + 1).and_then(|v| v.parse().ok()).filter(|&j| j >= 1);
-                    i += 1;
-                }
                 "--smoke" => out.smoke = true,
                 _ => {}
             }
@@ -201,8 +166,6 @@ impl BenchArgs {
 
     /// Applies the sample override to a group; a 1–2 sample smoke run
     /// also cuts the warmup, since nothing statistical is at stake.
-    /// Records the effective worker count as group metadata so every
-    /// bench JSON row names the configuration that produced it.
     pub fn apply(&self, group: &mut tm_testkit::bench::BenchGroup) {
         if let Some(n) = self.samples {
             group.sample_size(n);
@@ -210,13 +173,6 @@ impl BenchArgs {
                 group.warmup(Duration::from_millis(5));
             }
         }
-        group.meta("jobs", self.jobs() as f64);
-    }
-
-    /// The effective SPCF worker count: the `--jobs` flag, else
-    /// `TM_SPCF_JOBS`, else 1.
-    pub fn jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(SpcfOptions::jobs_from_env)
     }
 
     /// Writes the telemetry snapshot to the configured path, if any.
@@ -253,7 +209,7 @@ mod tests {
     #[test]
     fn table1_row_invariants() {
         let lib = harness_library();
-        let row = run_table1_row(&smoke_suite()[0], lib, 2);
+        let row = run_table1_row(&smoke_suite()[0], lib);
         // Exact engines agree; node-based is a superset count.
         let rel = (row.path_based.critical_patterns - row.short_path.critical_patterns).abs()
             / row.short_path.critical_patterns.max(1.0);
@@ -264,7 +220,7 @@ mod tests {
     #[test]
     fn table2_row_is_verified() {
         let lib = harness_library();
-        let row = run_table2_row(&smoke_suite()[1], lib, 1);
+        let row = run_table2_row(&smoke_suite()[1], lib);
         assert!(row.verified);
         assert_eq!(row.coverage, 1.0);
         assert!(row.result.report.slack_met);

@@ -162,6 +162,39 @@ fn idle_connection_is_reaped_silently() {
     handle.shutdown();
 }
 
+/// A small frame whose BLIF gives a 20-input node by off-set rows —
+/// complementing it by exact minimization takes seconds at 12 inputs
+/// and grows about fivefold per input — is answered with a typed
+/// `parse` reject naming the off-set fanin limit, within a second.
+#[test]
+fn wide_offset_blif_is_a_fast_parse_reject() {
+    let core = Arc::new(ServeCore::new(ServeConfig::for_workers(2)));
+    let handle = tm_server::net::serve(Arc::clone(&core), "127.0.0.1:0").expect("bind");
+    let addr = handle.addr().to_string();
+
+    let inputs = "a b c d e f g h i j k l m n o p q r s t";
+    let blif = format!(
+        ".model w\n.inputs {inputs}\n.outputs y\n.names {inputs} y\n\
+         1-1-1-1-1-1-1-1-1-1- 0\n0--0--0--0--0--0--0- 0\n"
+    );
+    let payload = Json::obj([
+        ("verb", Json::str("spcf")),
+        ("blif", Json::str(blif)),
+        ("targets", Json::Arr(vec![Json::Num(0.9)])),
+    ])
+    .render();
+    assert!(payload.len() <= 256, "frame is {} bytes", payload.len());
+
+    let start = Instant::now();
+    let err = tm_client::request(&addr, &payload, Duration::from_secs(30))
+        .expect_err("a wide off-set node must be rejected");
+    let elapsed = start.elapsed();
+    assert_eq!(err.kind, "parse", "{err:?}");
+    assert!(err.message.contains("limited to 10 fanins"), "{err:?}");
+    assert!(elapsed < Duration::from_secs(1), "reject took {elapsed:?}");
+    handle.shutdown();
+}
+
 /// The `shutdown` verb: acknowledged with a `shutdown` frame, flags the
 /// core as draining, and the subsequent [`ServerHandle::drain`] is
 /// clean — counters `serve.drain.requested` / `serve.drain.completed`

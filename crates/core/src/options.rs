@@ -40,10 +40,6 @@ pub struct MaskingOptions {
     /// coarser — but still sound — over-approximation instead of
     /// running away (DESIGN.md §7). Unlimited by default.
     pub budget: Budget,
-    /// Worker threads for the SPCF construction (1 = serial). Results
-    /// are identical for every value — the parallel driver merges
-    /// per-output BDDs deterministically (DESIGN.md §8).
-    pub jobs: usize,
 }
 
 impl Default for MaskingOptions {
@@ -57,7 +53,6 @@ impl Default for MaskingOptions {
             cube_selection: CubeSelection::EssentialWeight,
             sizing_iterations: 40,
             budget: Budget::unlimited(),
-            jobs: 1,
         }
     }
 }
@@ -79,7 +74,6 @@ impl MaskingOptions {
             "slack_fraction must be in (0, 1)"
         );
         assert!(self.and_tree_arity >= 2, "AND tree needs arity >= 2");
-        assert!(self.jobs >= 1, "jobs must be >= 1");
     }
 }
 

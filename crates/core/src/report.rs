@@ -51,9 +51,6 @@ pub struct MaskingReport {
     /// ([`DegradationLevel::Exact`] when the paper's flow ran to
     /// completion).
     pub degradation: DegradationLevel,
-    /// Worker threads the SPCF computation was asked to use (1 =
-    /// serial; results are identical for every value).
-    pub jobs: usize,
     /// Wall-clock time of the whole synthesis.
     pub synthesis_time: Duration,
 }
@@ -112,7 +109,6 @@ impl MaskingReport {
             area_overhead_percent: design.area_overhead() * 100.0,
             power_overhead_percent,
             degradation,
-            jobs: spcf.jobs,
             synthesis_time,
         }
     }
@@ -157,7 +153,6 @@ mod tests {
             Delay::new(6.3),
             Vec::new(),
             Duration::ZERO,
-            1,
         );
         let r = MaskingReport::measure(
             &design,
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(r.area_overhead_percent, 0.0);
         assert_eq!(r.power_overhead_percent, 0.0);
         assert!(r.slack_met);
-        assert_eq!(r.jobs, 1);
         assert!(r.table2_row().contains("comparator2"));
     }
 }

@@ -33,7 +33,7 @@ use tm_netlist::map::tech_map;
 use tm_netlist::sop_network::{SigId, SigKind, SopNetwork};
 use tm_netlist::{Delay, NetId, Netlist};
 use tm_resilience::Budget;
-use tm_spcf::{try_spcf_with, Algorithm, SpcfOptions, SpcfSet, WarmSession};
+use tm_spcf::{try_spcf_with, Algorithm, SpcfSet, WarmSession};
 use tm_sta::Sta;
 
 /// How far the SPCF engine ladder had to degrade to fit the
@@ -81,27 +81,24 @@ impl From<Algorithm> for DegradationLevel {
 /// [`Algorithm::fallback`] (node-based over-approximation, then
 /// guard-everything), stepping down only when the budget is exhausted.
 /// Each rung starts from a fresh BDD manager so a blown-up rung leaves
-/// no memory behind. Every rung dispatches through the engine-session
-/// driver, so `jobs > 1` shards critical outputs across workers with no
-/// effect on the result (DESIGN.md §8).
+/// no memory behind.
 fn spcf_ladder(
     netlist: &Netlist,
     sta: &Sta<'_>,
     target: Delay,
     budget: Budget,
-    jobs: usize,
 ) -> (Bdd, SpcfSet, DegradationLevel) {
     let num_vars = netlist.inputs().len().max(1);
     let mut algorithm = Algorithm::ShortPath;
     loop {
         // The guard-everything floor does no budgeted work; run it
-        // serial and unlimited.
-        let options = match algorithm.fallback() {
-            Some(_) => SpcfOptions::default().with_jobs(jobs).with_budget(budget),
-            None => SpcfOptions::default(),
+        // unlimited.
+        let rung_budget = match algorithm.fallback() {
+            Some(_) => budget,
+            None => Budget::unlimited(),
         };
         let mut bdd = Bdd::new(num_vars);
-        let e = match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, &options) {
+        let e = match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, rung_budget) {
             Ok(spcf) => return (bdd, spcf, algorithm.into()),
             Err(e) => e,
         };
@@ -172,7 +169,7 @@ pub fn synthesize(netlist: &Netlist, options: MaskingOptions) -> MaskingResult {
 
     let (mut bdd, spcf, degradation) = {
         let _s = tm_telemetry::span!("masking.spcf");
-        spcf_ladder(netlist, &sta, target, options.budget, options.jobs)
+        spcf_ladder(netlist, &sta, target, options.budget)
     };
     let (design, report) =
         synthesize_from_spcf(netlist, &mut bdd, &spcf, delta, target, degradation, &options, start);
@@ -211,7 +208,7 @@ pub struct SweepPoint {
 ///
 /// A point whose warm computation exhausts the budget falls back to
 /// the cold per-point ladder of [`synthesize`] (fresh manager per
-/// rung, honoring `options.jobs`), so degraded points cost what they
+/// rung), so degraded points cost what they
 /// always did and warm points are pure win.
 ///
 /// # Panics

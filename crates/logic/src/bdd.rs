@@ -1157,10 +1157,10 @@ impl Bdd {
     /// function's reduced graph, never on this manager's node indices,
     /// allocation history, or complement-edge placement. Two managers
     /// holding equal functions export byte-identical `PortableBdd`s.
-    /// That is the property the parallel SPCF driver's determinism
-    /// rests on: importing the same exports in the same order replays
-    /// the same `mk` sequence in the target manager regardless of which
-    /// worker produced them.
+    /// That is the property the warm-vs-cold and cross-manager
+    /// determinism suites compare on: importing the same exports in the
+    /// same order replays the same `mk` sequence in the target manager
+    /// regardless of which manager produced them.
     ///
     /// The encoding is also independent of this manager's *variable
     /// order*: entries name variables (not levels) and are listed in
@@ -1768,8 +1768,8 @@ impl SiftWorkspace {
 /// (complement-free) reduced graph, so it is independent of the
 /// exporting manager's complement-edge placement. Equal functions
 /// export equal values (see [`Bdd::export`] for the ordering
-/// guarantee), which makes this the unit of cross-thread BDD transfer
-/// in the parallel SPCF driver.
+/// guarantee), which makes this the unit of cross-manager BDD
+/// comparison and transfer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortableBdd {
     num_vars: u32,

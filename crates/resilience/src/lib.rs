@@ -20,7 +20,6 @@ pub mod fault;
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which budgeted resource ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -157,146 +156,6 @@ impl Budget {
 impl Default for Budget {
     fn default() -> Self {
         Budget::unlimited()
-    }
-}
-
-/// A [`Budget`] whose counters are shared across worker threads.
-///
-/// The parallel SPCF driver shards critical outputs over `N` workers,
-/// each computing in its own BDD manager. A per-worker `Budget` would
-/// multiply the caller's limits by `N`; a `SharedBudget` instead keeps
-/// one set of atomic *used* counters that every worker charges its
-/// deltas into, so the run as a whole respects the limits the caller
-/// configured. Workers charge at output granularity: compute one
-/// output under a local [`Budget`] carved from [`SharedBudget::remaining`],
-/// then [`charge`](SharedBudget::charge) the consumed amounts back.
-///
-/// The struct is plain data (no `Arc` inside): share it by reference
-/// through `std::thread::scope`.
-#[derive(Debug)]
-pub struct SharedBudget {
-    limits: Budget,
-    used_bdd_nodes: AtomicU64,
-    used_steps: AtomicU64,
-    used_memo_entries: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl SharedBudget {
-    /// A shared view with nothing consumed yet.
-    pub fn new(limits: Budget) -> Self {
-        SharedBudget {
-            limits,
-            used_bdd_nodes: AtomicU64::new(0),
-            used_steps: AtomicU64::new(0),
-            used_memo_entries: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// The configured limits.
-    pub fn limits(&self) -> Budget {
-        self.limits
-    }
-
-    /// True once any charge crossed a limit. Workers poll this between
-    /// outputs so one exhaustion stops the whole run promptly.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Marks the shared view tripped *without* recording a telemetry
-    /// count. A worker whose *local* [`Budget`] check already counted
-    /// the exhaustion calls this before its final
-    /// [`charge`](Self::charge), so the same trip is not counted a
-    /// second time at the shared layer.
-    pub fn mark_tripped(&self) {
-        self.tripped.store(true, Ordering::Relaxed);
-    }
-
-    /// Adds a worker's consumption to the shared counters, failing if
-    /// any total crossed its limit.
-    ///
-    /// Only the charge that first crosses a limit records the
-    /// `resilience.budget.exhausted` telemetry count at this layer
-    /// (per-worker [`Budget`] checks already count their own trips), so
-    /// a shared trip is not multiply counted by racing workers.
-    pub fn charge(
-        &self,
-        bdd_nodes: u64,
-        steps: u64,
-        memo_entries: u64,
-    ) -> Result<(), Exhausted> {
-        let totals = [
-            (Resource::BddNodes, &self.used_bdd_nodes, bdd_nodes, self.limits.max_bdd_nodes),
-            (Resource::Steps, &self.used_steps, steps, self.limits.max_steps),
-            (
-                Resource::MemoEntries,
-                &self.used_memo_entries,
-                memo_entries,
-                self.limits.max_memo_entries,
-            ),
-        ];
-        for (resource, counter, delta, limit) in totals {
-            let used = counter.fetch_add(delta, Ordering::Relaxed).saturating_add(delta);
-            if used >= limit && limit != u64::MAX {
-                if !self.tripped.swap(true, Ordering::Relaxed) {
-                    tm_telemetry::counter_add("resilience.budget.exhausted", 1);
-                    tm_telemetry::flight::instant(
-                        "resilience.exhausted",
-                        &[
-                            ("resource", resource as u8 as f64),
-                            ("limit", limit as f64),
-                            ("used", used as f64),
-                        ],
-                    );
-                }
-                return Err(Exhausted { resource, limit, used });
-            }
-        }
-        Ok(())
-    }
-
-    /// The budget still available: the configured limits minus what has
-    /// been charged so far (unlimited axes stay unlimited). Workers
-    /// install this as the local [`Budget`] for their next output so no
-    /// single output can overrun what the whole run has left.
-    pub fn remaining(&self) -> Budget {
-        let left = |limit: u64, used: &AtomicU64| {
-            if limit == u64::MAX {
-                u64::MAX
-            } else {
-                limit.saturating_sub(used.load(Ordering::Relaxed))
-            }
-        };
-        Budget {
-            max_bdd_nodes: left(self.limits.max_bdd_nodes, &self.used_bdd_nodes),
-            max_steps: left(self.limits.max_steps, &self.used_steps),
-            max_memo_entries: left(self.limits.max_memo_entries, &self.used_memo_entries),
-        }
-    }
-
-    /// The local [`Budget`] a worker should install given what *it* has
-    /// already charged.
-    ///
-    /// A worker's own counters (manager node count, memo size) are
-    /// lifetime totals, so a budget of plain [`remaining`](Self::remaining)
-    /// would count the worker's own past consumption twice. This view
-    /// adds the worker's own charges back: the worker may locally reach
-    /// `limit − everyone else's usage`.
-    pub fn local_view(
-        &self,
-        own_bdd_nodes: u64,
-        own_steps: u64,
-        own_memo_entries: u64,
-    ) -> Budget {
-        let rem = self.remaining();
-        let add = |r: u64, own: u64| if r == u64::MAX { u64::MAX } else { r.saturating_add(own) };
-        Budget {
-            max_bdd_nodes: add(rem.max_bdd_nodes, own_bdd_nodes),
-            max_steps: add(rem.max_steps, own_steps),
-            max_memo_entries: add(rem.max_memo_entries, own_memo_entries),
-        }
     }
 }
 
@@ -534,70 +393,6 @@ mod tests {
             "invalid input: aging factor must be finite"
         );
         assert_eq!(TmError::unsupported("latches").to_string(), "unsupported: latches");
-    }
-
-    #[test]
-    fn shared_budget_accumulates_across_charges() {
-        let s = SharedBudget::new(Budget::unlimited().with_max_bdd_nodes(10));
-        assert!(s.charge(4, 100, 100).is_ok(), "only the node axis is limited");
-        assert!(!s.is_tripped());
-        assert_eq!(s.remaining().max_bdd_nodes, 6);
-        let e = s.charge(6, 0, 0).unwrap_err();
-        assert_eq!(e.resource, Resource::BddNodes);
-        assert_eq!(e.limit, 10);
-        assert!(s.is_tripped());
-        // Unlimited axes stay unlimited in the remaining view.
-        assert_eq!(s.remaining().max_steps, u64::MAX);
-    }
-
-    #[test]
-    fn shared_budget_trip_is_counted_once() {
-        let _scope = tm_telemetry::Scope::enter();
-        let s = SharedBudget::new(Budget::unlimited().with_max_memo_entries(2));
-        assert!(s.charge(0, 0, 1).is_ok());
-        assert!(s.charge(0, 0, 5).is_err());
-        assert!(s.charge(0, 0, 1).is_err(), "stays tripped");
-        let snap = tm_telemetry::snapshot();
-        assert_eq!(snap.counter("resilience.budget.exhausted"), Some(1));
-    }
-
-    #[test]
-    fn mark_tripped_is_silent() {
-        let _scope = tm_telemetry::Scope::enter();
-        let s = SharedBudget::new(Budget::unlimited().with_max_steps(10));
-        s.mark_tripped();
-        assert!(s.is_tripped());
-        // A crossing charge after the silent mark still errors but no
-        // longer counts: the local check that caused the mark already
-        // recorded the exhaustion.
-        assert!(s.charge(0, 20, 0).is_err());
-        let snap = tm_telemetry::snapshot();
-        assert_eq!(snap.counter("resilience.budget.exhausted"), None);
-    }
-
-    #[test]
-    fn shared_budget_parallel_charges_respect_the_limit() {
-        let s = SharedBudget::new(Budget::unlimited().with_max_steps(1000));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| while s.charge(0, 7, 0).is_ok() {});
-            }
-        });
-        assert!(s.is_tripped());
-        assert_eq!(s.remaining().max_steps, 0, "nothing left once tripped");
-    }
-
-    #[test]
-    fn local_view_adds_own_consumption_back() {
-        let s = SharedBudget::new(Budget::unlimited().with_max_memo_entries(10));
-        s.charge(0, 0, 6).expect("within limit"); // this worker's own usage
-        s.charge(0, 0, 2).expect("within limit"); // another worker
-        // remaining is 2, but this worker's memo already holds 6
-        // entries, so its local limit must be 10 − 2 = 8.
-        assert_eq!(s.remaining().max_memo_entries, 2);
-        let local = s.local_view(0, 0, 6);
-        assert_eq!(local.max_memo_entries, 8);
-        assert_eq!(local.max_bdd_nodes, u64::MAX);
     }
 
     #[test]

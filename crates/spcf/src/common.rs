@@ -74,8 +74,6 @@ pub struct SpcfSet {
     pub outputs: Vec<OutputSpcf>,
     /// Wall-clock time of the computation.
     pub runtime: Duration,
-    /// Worker threads the computation was asked to use (1 = serial).
-    pub jobs: usize,
     /// `NetId::index` → position in `outputs`, so [`SpcfSet::spcf_of`]
     /// stays O(1) on wide circuits.
     index: HashMap<usize, usize>,
@@ -88,11 +86,10 @@ impl SpcfSet {
         target: Delay,
         outputs: Vec<OutputSpcf>,
         runtime: Duration,
-        jobs: usize,
     ) -> Self {
         let index =
             outputs.iter().enumerate().map(|(k, o)| (o.output.index(), k)).collect();
-        SpcfSet { algorithm, target, outputs, runtime, jobs, index }
+        SpcfSet { algorithm, target, outputs, runtime, index }
     }
 
     /// The SPCF of a specific output, if it is in the set.
@@ -135,9 +132,8 @@ impl SpcfSet {
 /// cells have), so structurally identical functions share one entry
 /// even across distinct cells or remapped duplicate-fanin gates.
 /// Entries are `Arc`-shared: lookups hand out cheap handles instead of
-/// forcing cube-vector clones, and a prewarmed cache can be cloned into
-/// parallel SPCF workers without recomputing a single prime.
-#[derive(Clone, Debug, Default)]
+/// forcing cube-vector clones.
+#[derive(Debug, Default)]
 pub struct GatePrimes {
     cache: HashMap<u64, Arc<(Vec<Cube>, Vec<Cube>)>>,
 }
@@ -179,15 +175,6 @@ impl GatePrimes {
     /// `(on_primes, off_primes)` of the cell's function, cached.
     pub fn of(&mut self, netlist: &Netlist, cell: CellId) -> Arc<(Vec<Cube>, Vec<Cube>)> {
         self.of_function(netlist.library().cell(cell).function())
-    }
-
-    /// Computes the primes of every cell the netlist instantiates, so
-    /// clones of this cache (one per parallel worker) share the work.
-    pub fn prewarm(&mut self, netlist: &Netlist) {
-        let cells: Vec<CellId> = netlist.gates().map(|(_, g)| g.cell()).collect();
-        for cell in cells {
-            self.of(netlist, cell);
-        }
     }
 }
 

@@ -1,5 +1,4 @@
-//! The engine session and the parallel per-output SPCF driver
-//! (DESIGN.md §8).
+//! The engine session (DESIGN.md §8).
 //!
 //! Every SPCF algorithm computes the same thing — one characteristic
 //! function per critical primary output — and used to duplicate the
@@ -9,76 +8,18 @@
 //! that state and the per-point loop once; each algorithm shrinks to an
 //! [`SpcfEngine`] implementation answering `compute_output` queries
 //! against its [`EngineCx`]. Three holders drive it: [`EngineSession`]
-//! for one cold run, [`WarmSession`] for a borrowed Δ_y ladder, and the
-//! serving layer's session pool for an owned one.
-//!
-//! On top of the session sits the parallel driver
-//! ([`try_spcf_with`]): per-output SPCFs are independent, so critical
-//! outputs are sharded round-robin across `std::thread::scope` workers.
-//! Each worker owns a private BDD manager seeded over the
-//! cone-of-influence of its shard, charges its consumption into one
-//! [`SharedBudget`], and collects telemetry into its thread-local
-//! registry; on join the parent absorbs the registries in worker order
-//! and re-expresses every worker's results in the caller's manager via
-//! [`tm_logic::bdd::PortableBdd`] transfer, iterating critical outputs
-//! in netlist order — which is why `jobs = 1` and `jobs = N` produce
-//! bit-identical [`SpcfSet`] contents.
+//! for one cold run ([`try_spcf_with`]), [`WarmSession`] for a borrowed
+//! Δ_y ladder, and the serving layer's session pool for an owned one.
+//! Critical outputs are computed in netlist order in one manager, so
+//! the short-path stabilization memo is shared across them.
 
 use crate::common::{Algorithm, GatePrimes, LazyGlobals, OutputSpcf, SpcfSet};
-use std::collections::HashMap;
 use std::time::Instant;
-use tm_logic::bdd::{Bdd, BddRef, BddRemap, PortableBdd};
+use tm_logic::bdd::{Bdd, BddRef, BddRemap};
 use tm_netlist::netlist::Driver;
 use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::{Budget, Exhausted, SharedBudget};
+use tm_resilience::{Budget, Exhausted};
 use tm_sta::Sta;
-use tm_telemetry::Snapshot;
-
-/// Environment variable the bench binaries and the differential oracle
-/// suite read as the default worker count (see
-/// [`SpcfOptions::jobs_from_env`]).
-pub const JOBS_ENV: &str = "TM_SPCF_JOBS";
-
-/// Driver configuration: how the SPCF of a circuit is computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpcfOptions {
-    /// Worker threads to shard critical outputs across (1 = serial in
-    /// the caller's manager). Results are identical for every value.
-    pub jobs: usize,
-    /// Deterministic computation budget for the whole run, shared
-    /// across workers when `jobs > 1`.
-    pub budget: Budget,
-}
-
-impl Default for SpcfOptions {
-    fn default() -> Self {
-        SpcfOptions { jobs: 1, budget: Budget::unlimited() }
-    }
-}
-
-impl SpcfOptions {
-    /// The worker count named by the `TM_SPCF_JOBS` environment
-    /// variable, defaulting to 1 (serial) when unset or unparsable.
-    pub fn jobs_from_env() -> usize {
-        std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Builder: sets the worker count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Builder: sets the computation budget.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-}
 
 /// The per-query view an [`SpcfEngine`] computes against: the circuit,
 /// its timing, the target, and the session-owned caches. Fields are
@@ -105,7 +46,7 @@ pub struct EngineCx<'n, 'c> {
 /// One SPCF algorithm, reduced to its essence: given a prepared
 /// context, produce the SPCF of one critical output.
 ///
-/// Lifecycle (driven by [`WarmState`] and the parallel workers):
+/// Lifecycle (driven by [`WarmState`]):
 /// `prepare` (or `retarget`) with the full list of target outputs (the
 /// cone-of-influence restriction for topological engines), then
 /// `compute_output` per output in order, then `publish_metrics` —
@@ -156,8 +97,8 @@ pub trait SpcfEngine {
     fn publish_metrics(&mut self) {}
 
     /// Lifetime count of the engine's memo-table entries (stabilization
-    /// memo, waveform breakpoints). The parallel driver charges its
-    /// growth against [`SharedBudget`]; engines without a memo report 0.
+    /// memo, waveform breakpoints), reported in the serving pool's
+    /// stats; engines without a memo report 0.
     fn memo_entries(&self) -> u64 {
         0
     }
@@ -215,23 +156,6 @@ fn output_ns_metric(algorithm: Algorithm) -> Option<&'static str> {
     }
 }
 
-/// Computes one critical output under its `spcf.output` phase and
-/// records the time into the algorithm's latency digest — the same
-/// per-output accounting for serial sessions and parallel workers.
-fn compute_output_timed(
-    engine: &mut dyn SpcfEngine,
-    cx: &mut EngineCx<'_, '_>,
-    output: NetId,
-) -> Result<BddRef, Exhausted> {
-    let t0 = Instant::now();
-    let _ev = tm_telemetry::flight::phase_with("spcf.output", &[("net", output.index() as f64)]);
-    let spcf = engine.compute_output(cx, output)?;
-    if let Some(m) = output_ns_metric(engine.algorithm()) {
-        tm_telemetry::digest_record(m, t0.elapsed().as_nanos() as u64);
-    }
-    Ok(spcf)
-}
-
 /// The outputs whose structural arrival exceeds `target`, in netlist
 /// output order — the criticality filter every engine shares.
 pub fn critical_outputs(netlist: &Netlist, sta: &Sta<'_>, target: Delay) -> Vec<NetId> {
@@ -240,8 +164,7 @@ pub fn critical_outputs(netlist: &Netlist, sta: &Sta<'_>, target: Delay) -> Vec<
 
 /// Membership mask of the transitive fanin cones of `targets` (indexed
 /// by `NetId::index`). Topological engines restrict their sweep to it,
-/// which is what makes per-worker managers cheaper than `jobs` copies
-/// of the full circuit.
+/// so logic that feeds only non-critical outputs is never built.
 pub fn cone_nets(netlist: &Netlist, targets: &[NetId]) -> Vec<bool> {
     let mut in_cone = vec![false; netlist.num_nets()];
     let mut stack: Vec<NetId> = targets.to_vec();
@@ -427,7 +350,7 @@ impl WarmState {
         let start = Instant::now();
         let targets = critical_outputs(sta.netlist(), sta, target);
         let outputs = self.run_outputs(engine, sta, bdd, target, budget, &targets)?;
-        Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed(), 1))
+        Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed()))
     }
 
     /// The per-point loop every serial SPCF run goes through: installs
@@ -465,9 +388,16 @@ impl WarmState {
                 );
                 engine.retarget(&mut cx, targets)?;
             }
+            let output_ns = output_ns_metric(engine.algorithm());
             let mut outputs = Vec::with_capacity(targets.len());
             for &o in targets {
-                let spcf = compute_output_timed(engine, &mut cx, o)?;
+                let t0 = Instant::now();
+                let _ev =
+                    tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
+                let spcf = engine.compute_output(&mut cx, o)?;
+                if let Some(m) = output_ns {
+                    tm_telemetry::digest_record(m, t0.elapsed().as_nanos() as u64);
+                }
                 outputs.push(OutputSpcf { output: o, spcf });
             }
             Ok(outputs)
@@ -660,262 +590,28 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     }
 }
 
-/// Computes the SPCF of every critical output with `algorithm`,
-/// honoring `options.jobs` and `options.budget`.
-///
-/// The result is independent of `jobs`: the set lists the same outputs
-/// with the same characteristic functions (verified bit-identical via
-/// [`Bdd::export`] in the determinism suite), differing only in the
-/// recorded [`SpcfSet::jobs`] and wall-clock runtime. A finite shared
-/// budget *can* exhaust earlier under parallelism (workers duplicate
-/// shared subfunctions in their private managers), but never later.
+/// Computes the SPCF of every critical output with `algorithm` in one
+/// cold [`EngineSession`] under `budget`.
 pub fn try_spcf_with(
     algorithm: Algorithm,
     netlist: &Netlist,
     sta: &Sta<'_>,
     bdd: &mut Bdd,
     target: Delay,
-    options: &SpcfOptions,
+    budget: Budget,
 ) -> Result<SpcfSet, Exhausted> {
-    let criticals = critical_outputs(netlist, sta, target);
-    let jobs = options.jobs.max(1).min(criticals.len().max(1));
-    if jobs <= 1 {
-        let mut engine = engine_for(algorithm);
-        return EngineSession::new(netlist, sta, bdd, target, options.budget)
-            .run(engine.as_mut());
-    }
-    parallel_spcf(algorithm, netlist, sta, bdd, target, options.budget, jobs, &criticals)
+    let mut engine = engine_for(algorithm);
+    EngineSession::new(netlist, sta, bdd, target, budget).run(engine.as_mut())
 }
 
-/// Infallible [`try_spcf_with`] for unlimited budgets.
-///
-/// # Panics
-///
-/// Panics if `options.budget` is finite and exhausts.
+/// Unlimited [`try_spcf_with`].
 pub fn spcf_with(
     algorithm: Algorithm,
     netlist: &Netlist,
     sta: &Sta<'_>,
     bdd: &mut Bdd,
     target: Delay,
-    options: &SpcfOptions,
 ) -> SpcfSet {
-    try_spcf_with(algorithm, netlist, sta, bdd, target, options)
+    try_spcf_with(algorithm, netlist, sta, bdd, target, Budget::unlimited())
         .expect("unlimited budget cannot exhaust")
-}
-
-/// What one worker hands back to the driver.
-struct WorkerOut {
-    /// `(output, exported SPCF)` for every output of the worker's shard
-    /// it completed, in shard order.
-    results: Vec<(NetId, PortableBdd)>,
-    /// The exhaustion that stopped this worker, if any.
-    error: Option<Exhausted>,
-    /// The worker thread's drained telemetry store.
-    telemetry: Snapshot,
-    /// The worker thread's drained flight-recorder events (empty when
-    /// the spawning thread was not recording).
-    trace: Vec<tm_telemetry::flight::TraceEvent>,
-}
-
-/// The parallel driver: shards `criticals` round-robin across `jobs`
-/// scoped workers and merges their results deterministically.
-#[allow(clippy::too_many_arguments)]
-fn parallel_spcf(
-    algorithm: Algorithm,
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    target: Delay,
-    budget: Budget,
-    jobs: usize,
-    criticals: &[NetId],
-) -> Result<SpcfSet, Exhausted> {
-    assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
-    assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
-    let start = Instant::now();
-    let _span = tm_telemetry::span::enter("spcf.parallel");
-
-    // Primes are computed once and cloned into workers (Arc'd entries:
-    // the clone shares every cube vector).
-    let mut primes = GatePrimes::new();
-    primes.prewarm(netlist);
-    let shared = SharedBudget::new(budget);
-    let telemetry_on = tm_telemetry::enabled();
-    // Workers inherit the spawning thread's flight-recording state and
-    // trace id, so per-output events in a served request's parallel fan
-    // land in that request's trace.
-    let flight_on = tm_telemetry::flight::recording();
-    let trace_id = tm_telemetry::flight::current_trace_id();
-    let num_vars = bdd.num_vars();
-
-    let mut worker_out: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let shard: Vec<NetId> =
-                    criticals.iter().copied().skip(w).step_by(jobs).collect();
-                let primes = primes.clone();
-                let shared = &shared;
-                scope.spawn(move || {
-                    run_worker(
-                        algorithm,
-                        netlist,
-                        sta,
-                        target,
-                        num_vars,
-                        shard,
-                        primes,
-                        shared,
-                        telemetry_on,
-                        flight_on.then_some(trace_id),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("SPCF worker panicked"))
-            .collect()
-    });
-
-    // Absorb telemetry in worker order — deterministic counter sums, a
-    // deterministic last-writer for gauges, and a deterministic flight
-    // event sequence (events keep their worker tid and timestamps; only
-    // the absorption order is pinned).
-    for out in &mut worker_out {
-        tm_telemetry::absorb(&out.telemetry);
-        tm_telemetry::flight::absorb_events(std::mem::take(&mut out.trace));
-    }
-    if let Some(e) = worker_out.iter().find_map(|o| o.error) {
-        return Err(e);
-    }
-
-    // Re-express every worker's SPCFs in the caller's manager, walking
-    // the critical outputs in netlist order: allocation order in the
-    // caller's manager — and therefore the whole `SpcfSet` — matches a
-    // serial run regardless of which worker computed what.
-    let mut portable: HashMap<usize, PortableBdd> = worker_out
-        .into_iter()
-        .flat_map(|o| o.results)
-        .map(|(net, p)| (net.index(), p))
-        .collect();
-    let prev = bdd.budget();
-    bdd.set_budget(budget);
-    let mut outputs = Vec::with_capacity(criticals.len());
-    let imported = (|| {
-        for &o in criticals {
-            let p = portable
-                .remove(&o.index())
-                .expect("an error-free worker covers its whole shard");
-            outputs.push(OutputSpcf { output: o, spcf: bdd.try_import(&p)? });
-        }
-        Ok(())
-    })();
-    bdd.set_budget(prev);
-    imported?;
-    Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), jobs))
-}
-
-/// One worker: a private manager, a private engine, and a shard of the
-/// critical outputs. Consumption is charged into `shared` at output
-/// granularity; results leave the thread as [`PortableBdd`]s.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    algorithm: Algorithm,
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    target: Delay,
-    num_vars: usize,
-    shard: Vec<NetId>,
-    mut primes: GatePrimes,
-    shared: &SharedBudget,
-    telemetry_on: bool,
-    flight_trace: Option<u64>,
-) -> WorkerOut {
-    if telemetry_on {
-        // Fresh thread, fresh store: collect here, drain on exit,
-        // let the parent absorb.
-        tm_telemetry::set_thread_enabled(Some(true));
-    }
-    if let Some(trace_id) = flight_trace {
-        tm_telemetry::flight::set_thread_recording(Some(true));
-        tm_telemetry::flight::set_ambient_trace_id(trace_id);
-    }
-    let mut bdd = Bdd::new(num_vars);
-    let mut engine = engine_for(algorithm);
-    let mut globals = LazyGlobals::new(netlist);
-    let mut results = Vec::with_capacity(shard.len());
-    let mut error = None;
-    let mut prepared = false;
-
-    for &o in &shard {
-        if shared.is_tripped() {
-            // Another worker exhausted the run's budget; stop without
-            // recording a second telemetry trip (the tripping worker
-            // already carries the error).
-            break;
-        }
-        // The worker may locally consume whatever the run has left plus
-        // what it already charged for itself (its manager counters are
-        // lifetime totals).
-        let local = shared.local_view(
-            bdd.node_count() as u64,
-            bdd.steps_taken(),
-            engine.memo_entries(),
-        );
-        bdd.set_budget(local);
-        let nodes0 = bdd.node_count() as u64;
-        let steps0 = bdd.steps_taken();
-        let memo0 = engine.memo_entries();
-        let r = (|| {
-            let mut cx = EngineCx {
-                netlist,
-                sta,
-                target,
-                budget: local,
-                bdd: &mut bdd,
-                primes: &mut primes,
-                globals: &mut globals,
-            };
-            if !prepared {
-                let _prep = tm_telemetry::flight::phase_with(
-                    "spcf.prepare",
-                    &[("targets", shard.len() as f64)],
-                );
-                engine.prepare(&mut cx, &shard)?;
-            }
-            compute_output_timed(engine.as_mut(), &mut cx, o)
-        })();
-        prepared = true;
-        let d_nodes = bdd.node_count() as u64 - nodes0;
-        let d_steps = bdd.steps_taken() - steps0;
-        let d_memo = engine.memo_entries() - memo0;
-        match r {
-            Ok(f) => {
-                results.push((o, bdd.export(f)));
-                if let Err(e) = shared.charge(d_nodes, d_steps, d_memo) {
-                    error = Some(e);
-                    break;
-                }
-            }
-            Err(e) => {
-                // The local budget check already counted this trip;
-                // mark before charging so the shared layer stays
-                // silent, then record what was consumed anyway.
-                shared.mark_tripped();
-                let _ = shared.charge(d_nodes, d_steps, d_memo);
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    engine.publish_metrics();
-    bdd.publish_metrics();
-    let telemetry = tm_telemetry::drain();
-    let trace = if flight_trace.is_some() {
-        tm_telemetry::flight::drain_thread()
-    } else {
-        Vec::new()
-    };
-    WorkerOut { results, error, telemetry, trace }
 }

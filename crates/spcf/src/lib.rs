@@ -49,7 +49,7 @@ pub use common::{net_global_bdds, Algorithm, GatePrimes, LazyGlobals, OutputSpcf
 pub use conservative::{conservative_spcf, ConservativeEngine};
 pub use engine::{
     critical_outputs, engine_for, spcf_with, try_spcf_with, EngineCx, EngineSession,
-    SpcfEngine, SpcfOptions, WarmSession, WarmState, JOBS_ENV,
+    SpcfEngine, WarmSession, WarmState,
 };
 pub use node_based::{node_based_spcf, try_node_based_spcf, NodeBasedEngine};
 pub use path_based::{

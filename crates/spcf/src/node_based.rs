@@ -46,8 +46,8 @@ impl SpcfEngine for NodeBasedEngine {
     /// fanin cones of `targets`: every statically critical gate lies in
     /// the cone of some critical output (its finite required time comes
     /// from a violating path *to* such an output), so on the full
-    /// target list the restriction changes nothing — and on a worker's
-    /// shard it skips the rest of the circuit.
+    /// target list the restriction changes nothing — and on a single
+    /// net ([`EngineSession::run_net`]) it skips the rest of the circuit.
     fn prepare(
         &mut self,
         cx: &mut EngineCx<'_, '_>,
@@ -80,6 +80,13 @@ impl SpcfEngine for NodeBasedEngine {
                 continue; // non-critical gates meet timing on every pattern
             }
             critical_gates += 1;
+            if g.inputs().is_empty() {
+                // A critical tie cell is a source like a critical PI:
+                // never on time. Its empty prime would make it always on
+                // time instead.
+                on_time[out.index()] = zero;
+                continue;
+            }
             let (fanins, delays, tt) = distinct_fanins(netlist, cx.sta, gid);
             let primes = gate_on_off_primes(netlist, cx.primes, gid, fanins.len(), &tt);
             let (on_primes, off_primes) = &*primes;
@@ -188,7 +195,7 @@ mod tests {
     use crate::short_path::short_path_spcf;
     use std::sync::Arc;
     use tm_netlist::circuits::{comparator2, mini_alu, priority_encoder, ripple_adder};
-    use tm_netlist::library::lsi10k_like;
+    use tm_netlist::library::{lsi10k_like, Library};
 
     #[test]
     fn comparator_node_based_superset() {
@@ -204,6 +211,22 @@ mod tests {
         assert!(over.critical_pattern_count(&bdd) >= exact.critical_pattern_count(&bdd));
     }
 
+    /// `y = AND2(chain, b)` where `chain` is an even inverter chain off
+    /// a `TIE1` cell: the tie starts every critical path, so its
+    /// required time is negative at any target below Δ, and the exact
+    /// SPCF is `b` (the late chain only matters while `b = 1`).
+    fn tie_chain(lib: Arc<Library>) -> Netlist {
+        let mut nl = Netlist::new("tie_chain", lib.clone());
+        let b = nl.add_input("b");
+        let mut cur = nl.add_gate(lib.expect("TIE1"), &[], "t");
+        for j in 0..4 {
+            cur = nl.add_gate(lib.expect("INV"), &[cur], format!("c{j}"));
+        }
+        let y = nl.add_gate(lib.expect("AND2"), &[cur, b], "y");
+        nl.mark_output(y);
+        nl
+    }
+
     #[test]
     fn superset_on_many_circuits_and_targets() {
         let lib = Arc::new(lsi10k_like());
@@ -211,6 +234,7 @@ mod tests {
             ripple_adder(lib.clone(), 3),
             mini_alu(lib.clone(), 2),
             priority_encoder(lib.clone(), 5),
+            tie_chain(lib.clone()),
         ] {
             let sta = Sta::new(&nl);
             let delta = sta.critical_path_delay();

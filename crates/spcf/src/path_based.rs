@@ -211,8 +211,8 @@ pub fn exact_output_delays(
 }
 
 /// Builds the complete timed stabilization waveform of every net (or,
-/// with a cone mask, of every net inside it — workers of the parallel
-/// driver only pay for their own shard's cones).
+/// with a cone mask, of every net inside it — logic feeding only
+/// non-critical outputs is skipped).
 ///
 /// `budget.max_memo_entries` caps the total number of `(stab¹, stab⁰)`
 /// breakpoints materialized across all nets — the quantity that

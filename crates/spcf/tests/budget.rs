@@ -8,7 +8,8 @@ use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_resilience::{Budget, Resource};
 use tm_spcf::{
-    try_node_based_spcf, try_path_based_spcf, try_short_path_spcf,
+    spcf_with, try_node_based_spcf, try_path_based_spcf, try_short_path_spcf, try_spcf_with,
+    Algorithm,
 };
 use tm_sta::Sta;
 
@@ -34,16 +35,32 @@ fn tiny_memo_budget_exhausts_short_path() {
     let nl = generate(&GeneratorSpec::sized("budget_sp", 12, 4, 56), lib.clone());
     let sta = Sta::new(&nl);
     let target = sta.critical_path_delay() * 0.9;
+    // The caller's manager carries a sentinel budget the failed run must
+    // hand back untouched.
+    let sentinel = Budget::unlimited().with_max_steps(777_777);
     let mut bdd = Bdd::new(nl.inputs().len());
+    bdd.set_budget(sentinel);
     let budget = Budget::unlimited().with_max_memo_entries(2);
-    let err = try_short_path_spcf(&nl, &sta, &mut bdd, target, budget)
+    let err = try_spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target, budget)
         .expect_err("a 2-entry memo cannot cover a 56-gate netlist");
     assert_eq!(err.resource, Resource::MemoEntries);
     assert_eq!(err.limit, 2);
     let snap = tm_telemetry::snapshot();
-    assert!(snap.counter("resilience.budget.exhausted").unwrap_or(0) >= 1);
-    // The engine restored the manager's own (unlimited) budget.
-    assert!(bdd.budget().is_unlimited());
+    assert_eq!(snap.counter("resilience.budget.exhausted"), Some(1), "one trip, counted once");
+    assert_eq!(bdd.budget(), sentinel, "session must restore the caller's budget");
+
+    // The same call with the budget lifted succeeds in the same manager
+    // and matches a fresh run bit-for-bit.
+    let unlimited = Budget::unlimited();
+    let retry = try_spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target, unlimited)
+        .expect("unlimited retry succeeds");
+    let mut fresh_bdd = Bdd::new(nl.inputs().len());
+    let fresh = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut fresh_bdd, target);
+    assert_eq!(retry.outputs.len(), fresh.outputs.len());
+    for (r, f) in retry.outputs.iter().zip(&fresh.outputs) {
+        assert_eq!(r.output, f.output);
+        assert_eq!(bdd.export(r.spcf), fresh_bdd.export(f.spcf));
+    }
 }
 
 #[test]

@@ -11,10 +11,8 @@
 //!    realistic node budget — with the capacity tier, the same budget
 //!    completes the exact short-path SPCF, recovering from the
 //!    exhaustion by collecting and retrying.
-//! 3. **Lifecycle × engines × jobs**: exports taken before GC,
-//!    compaction, and sifting equal the exports taken after, for every
-//!    engine at every worker count — and the baseline itself is
-//!    jobs-independent.
+//! 3. **Lifecycle × engines**: exports taken before GC, compaction,
+//!    and sifting equal the exports taken after, for every engine.
 
 use std::sync::Arc;
 use tm_logic::bdd::BddRef;
@@ -24,7 +22,7 @@ use tm_netlist::library::lsi10k_like;
 use tm_netlist::suites::table1_suite;
 use tm_netlist::{NetId, Netlist};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, WarmSession};
 use tm_sta::Sta;
 
 /// The descending protection-band ladder the sweep binaries walk.
@@ -61,14 +59,7 @@ fn forced_mid_ladder_gc_keeps_warm_equal_to_cold() {
                 let warm = session.retarget(target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
-                let cold = spcf_with(
-                    algorithm,
-                    &nl,
-                    &sta,
-                    &mut cold_bdd,
-                    target,
-                    &SpcfOptions::default(),
-                );
+                let cold = spcf_with(algorithm, &nl, &sta, &mut cold_bdd, target);
                 assert_eq!(
                     warm.outputs.len(),
                     cold.outputs.len(),
@@ -204,51 +195,29 @@ fn exports_survive_gc_compaction_and_sifting_for_every_engine_and_jobs() {
     let sta = Sta::new(nl);
     let target = sta.critical_path_delay() * 0.70;
     for algorithm in [Algorithm::ShortPath, Algorithm::PathBased, Algorithm::NodeBased] {
-        let mut baseline: Option<Vec<(NetId, tm_logic::bdd::PortableBdd)>> = None;
-        for jobs in [1usize, 2, 4] {
-            let mut bdd = Bdd::new(nl.inputs().len());
-            let set = spcf_with(
-                algorithm,
-                nl,
-                &sta,
-                &mut bdd,
-                target,
-                &SpcfOptions::default().with_jobs(jobs),
-            );
-            let before: Vec<(NetId, tm_logic::bdd::PortableBdd)> =
-                set.outputs.iter().map(|o| (o.output, bdd.export(o.spcf))).collect();
-            match &baseline {
-                None => baseline = Some(before.clone()),
-                Some(b) => {
-                    assert_eq!(b, &before, "{algorithm:?}: exports must be jobs-independent")
-                }
-            }
+        let mut bdd = Bdd::new(nl.inputs().len());
+        let set = spcf_with(algorithm, nl, &sta, &mut bdd, target);
+        let before: Vec<(NetId, tm_logic::bdd::PortableBdd)> =
+            set.outputs.iter().map(|o| (o.output, bdd.export(o.spcf))).collect();
 
-            // Walk the full lifecycle — GC, explicit compaction,
-            // sifting — remapping the roots after each step; the
-            // exports must never change.
-            let mut live: Vec<BddRef> = set.outputs.iter().map(|o| o.spcf).collect();
-            for op in ["gc", "compact", "reorder"] {
-                let remap = match op {
-                    "gc" => bdd.gc(&live),
-                    "compact" => bdd.compact(&live),
-                    _ => bdd.reorder(&live),
-                };
-                live = live
-                    .iter()
-                    .map(|&r| remap.remap(r).expect("rooted refs survive"))
-                    .collect();
-                let after: Vec<(NetId, tm_logic::bdd::PortableBdd)> = set
-                    .outputs
-                    .iter()
-                    .zip(&live)
-                    .map(|(o, &r)| (o.output, bdd.export(r)))
-                    .collect();
-                assert_eq!(
-                    before, after,
-                    "{algorithm:?}/jobs={jobs}: exports changed across {op}"
-                );
-            }
+        // Walk the full lifecycle — GC, explicit compaction, sifting —
+        // remapping the roots after each step; the exports must never
+        // change.
+        let mut live: Vec<BddRef> = set.outputs.iter().map(|o| o.spcf).collect();
+        for op in ["gc", "compact", "reorder"] {
+            let remap = match op {
+                "gc" => bdd.gc(&live),
+                "compact" => bdd.compact(&live),
+                _ => bdd.reorder(&live),
+            };
+            live = live.iter().map(|&r| remap.remap(r).expect("rooted refs survive")).collect();
+            let after: Vec<(NetId, tm_logic::bdd::PortableBdd)> = set
+                .outputs
+                .iter()
+                .zip(&live)
+                .map(|(o, &r)| (o.output, bdd.export(r)))
+                .collect();
+            assert_eq!(before, after, "{algorithm:?}: exports changed across {op}");
         }
     }
 }

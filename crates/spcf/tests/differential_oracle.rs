@@ -30,7 +30,7 @@ use tm_netlist::{Delay, Netlist};
 use tm_sim::patterns::random_vectors;
 use tm_sim::timing::TimingSim;
 use tm_spcf::common::distinct_fanins;
-use tm_spcf::{short_path_spcf, spcf_with, Algorithm, SpcfOptions, SpcfSet};
+use tm_spcf::{short_path_spcf, spcf_with, Algorithm, SpcfSet};
 use tm_sta::Sta;
 use tm_testkit::prop::{check, Config, Gen};
 use tm_testkit::{prop_assert, prop_assert_eq};
@@ -114,20 +114,15 @@ fn gen_case(g: &mut Gen, inputs: std::ops::Range<usize>) -> (Netlist, f64) {
 /// identical critical-output lists, `short_path == path_based` per
 /// output, both contained in `node_based`, and every unlisted output
 /// genuinely non-critical. Returns the three sets for further checks.
-///
-/// Every engine goes through the session driver; `TM_SPCF_JOBS` shards
-/// the critical outputs across workers (CI reruns this suite with
-/// `TM_SPCF_JOBS=4`), which must not change any result below.
 fn engines_agree(
     nl: &Netlist,
     sta: &Sta<'_>,
     bdd: &mut Bdd,
     target: Delay,
 ) -> Result<(SpcfSet, SpcfSet, SpcfSet), String> {
-    let options = SpcfOptions::default().with_jobs(SpcfOptions::jobs_from_env());
-    let sp = spcf_with(Algorithm::ShortPath, nl, sta, bdd, target, &options);
-    let pb = spcf_with(Algorithm::PathBased, nl, sta, bdd, target, &options);
-    let nb = spcf_with(Algorithm::NodeBased, nl, sta, bdd, target, &options);
+    let sp = spcf_with(Algorithm::ShortPath, nl, sta, bdd, target);
+    let pb = spcf_with(Algorithm::PathBased, nl, sta, bdd, target);
+    let nb = spcf_with(Algorithm::NodeBased, nl, sta, bdd, target);
 
     let outs = |s: &SpcfSet| s.outputs.iter().map(|o| o.output).collect::<Vec<_>>();
     prop_assert_eq!(outs(&sp), outs(&pb), "critical-output lists differ (sp vs pb)");
@@ -161,8 +156,7 @@ fn engines_agree(
     // encoding is structural (the plain ROBDD of the function), never
     // historical (allocation order, complement parity, cache state).
     let mut fresh = Bdd::new(nl.inputs().len());
-    let sp2 =
-        spcf_with(Algorithm::ShortPath, nl, sta, &mut fresh, target, &SpcfOptions::default());
+    let sp2 = spcf_with(Algorithm::ShortPath, nl, sta, &mut fresh, target);
     for (a, b) in sp.outputs.iter().zip(&sp2.outputs) {
         prop_assert!(
             bdd.export(a.spcf) == fresh.export(b.spcf),

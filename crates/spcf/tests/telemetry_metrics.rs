@@ -9,7 +9,7 @@ use tm_netlist::circuits::comparator2;
 use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::Delay;
-use tm_spcf::{path_based_spcf, short_path_spcf, spcf_with, Algorithm, SpcfOptions};
+use tm_spcf::{path_based_spcf, short_path_spcf, spcf_with, Algorithm};
 use tm_sta::Sta;
 
 /// Six speed chains put several same-length tails on one shared NAND
@@ -67,8 +67,7 @@ fn short_path_memoizes_and_beats_waveform_node_count() {
 }
 
 /// Every critical output lands one value in its algorithm's latency
-/// digest, whether the session runs serially or shards the outputs
-/// across parallel workers.
+/// digest.
 #[test]
 fn output_latency_digest_counts_every_critical_output_for_any_jobs() {
     let nl = multi_critical_netlist();
@@ -79,16 +78,13 @@ fn output_latency_digest_counts_every_critical_output_for_any_jobs() {
         (Algorithm::PathBased, "spcf.path_based.output_ns"),
         (Algorithm::NodeBased, "spcf.node_based.output_ns"),
     ] {
-        for jobs in [1, 2] {
-            let _scope = tm_telemetry::Scope::enter();
-            let mut bdd = Bdd::new(nl.inputs().len());
-            let options = SpcfOptions::default().with_jobs(jobs);
-            let set = spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options);
-            assert!(set.outputs.len() >= 2, "need several critical outputs to shard");
-            let snap = tm_telemetry::snapshot();
-            let digest = snap.digest(metric).expect("per-output latency recorded");
-            assert_eq!(digest.count, set.outputs.len() as u64, "{algorithm:?}, jobs {jobs}");
-        }
+        let _scope = tm_telemetry::Scope::enter();
+        let mut bdd = Bdd::new(nl.inputs().len());
+        let set = spcf_with(algorithm, &nl, &sta, &mut bdd, target);
+        assert!(set.outputs.len() >= 2, "need several critical outputs");
+        let snap = tm_telemetry::snapshot();
+        let digest = snap.digest(metric).expect("per-output latency recorded");
+        assert_eq!(digest.count, set.outputs.len() as u64, "{algorithm:?}");
     }
 }
 

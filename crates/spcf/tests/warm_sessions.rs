@@ -21,7 +21,7 @@ use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::{NetId, Netlist};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, WarmSession};
 use tm_sta::Sta;
 
 /// Seeded 12-input netlists with several outputs each, sized so the
@@ -59,14 +59,7 @@ fn warm_retarget_matches_cold_runs_bit_for_bit() {
                 let warm = session.retarget(target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
-                let cold = spcf_with(
-                    algorithm,
-                    &nl,
-                    &sta,
-                    &mut cold_bdd,
-                    target,
-                    &SpcfOptions::default(),
-                );
+                let cold = spcf_with(algorithm, &nl, &sta, &mut cold_bdd, target);
 
                 let warm_outs: Vec<NetId> = warm.outputs.iter().map(|o| o.output).collect();
                 let cold_outs: Vec<NetId> = cold.outputs.iter().map(|o| o.output).collect();
@@ -145,14 +138,7 @@ fn unsorted_ladder_matches_cold_runs_bit_for_bit() {
                 let warm = session.retarget(target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
-                let cold = spcf_with(
-                    algorithm,
-                    &nl,
-                    &sta,
-                    &mut cold_bdd,
-                    target,
-                    &SpcfOptions::default(),
-                );
+                let cold = spcf_with(algorithm, &nl, &sta, &mut cold_bdd, target);
 
                 let warm_outs: Vec<NetId> = warm.outputs.iter().map(|o| o.output).collect();
                 let cold_outs: Vec<NetId> = cold.outputs.iter().map(|o| o.output).collect();
@@ -195,13 +181,6 @@ fn warm_session_budget_hygiene() {
     assert_eq!(bdd.budget(), outer);
 
     // The same manager still works cold after the tripped session.
-    let spcf = spcf_with(
-        Algorithm::ShortPath,
-        &nl,
-        &sta,
-        &mut bdd,
-        delta * 0.55,
-        &SpcfOptions::default(),
-    );
+    let spcf = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, delta * 0.55);
     assert!(!spcf.outputs.is_empty());
 }

@@ -139,7 +139,7 @@ pub fn recording() -> bool {
 }
 
 /// Overrides flight recording for the current thread (`None` restores
-/// the process default). Used by tests and by parallel-driver workers
+/// the process default). Used by tests and by fleet shard workers
 /// inheriting the spawning thread's state.
 pub fn set_thread_recording(on: Option<bool>) {
     let _ = epoch();
@@ -185,8 +185,8 @@ pub fn current_trace_id() -> u64 {
 }
 
 /// Sets the ambient trace id for events recorded on this thread outside
-/// any request context (parallel-driver workers inherit the spawning
-/// request's id this way). Returns the previous value.
+/// any request context (fleet shard workers inherit the spawning
+/// thread's id this way). Returns the previous value.
 pub fn set_ambient_trace_id(id: u64) -> u64 {
     AMBIENT_TRACE_ID.with(|t| t.replace(id))
 }
@@ -456,7 +456,7 @@ impl Drop for RequestTrace {
 }
 
 // ---------------------------------------------------------------------
-// Cross-thread absorption (parallel driver)
+// Cross-thread absorption (fleet shard workers)
 // ---------------------------------------------------------------------
 
 /// Takes every event buffered in the current thread's ring, leaving the

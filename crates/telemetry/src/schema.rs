@@ -139,7 +139,6 @@ pub const KNOWN_SPANS: &[&str] = &[
     "spcf.path_based",
     "spcf.node_based",
     "spcf.conservative",
-    "spcf.parallel",
     "masking.synthesize",
     "masking.spcf",
     "masking.extract",
