@@ -28,6 +28,16 @@ fn spcf_payload() -> String {
     .render()
 }
 
+/// An `spcf` request for `blif` at the default engine and one target.
+fn spcf_request(blif: String) -> String {
+    Json::obj([
+        ("verb", Json::str("spcf")),
+        ("blif", Json::str(blif)),
+        ("targets", Json::Arr(vec![Json::Num(0.9)])),
+    ])
+    .render()
+}
+
 /// Fetches the stats frame and returns (frame, counter lookup closure input).
 fn fetch_stats(addr: &str) -> Json {
     let policy = tm_client::RetryPolicy::default();
@@ -163,9 +173,9 @@ fn idle_connection_is_reaped_silently() {
 }
 
 /// A small frame whose BLIF gives a 20-input node by off-set rows —
-/// complementing it by exact minimization takes seconds at 12 inputs
-/// and grows about fivefold per input — is answered with a typed
-/// `parse` reject naming the off-set fanin limit, within a second.
+/// complementing it by exact minimization would cost about 4^20 table
+/// bits, fourfold per input — is answered with a typed `parse` reject
+/// naming the off-set fanin limit, within a second.
 #[test]
 fn wide_offset_blif_is_a_fast_parse_reject() {
     let core = Arc::new(ServeCore::new(ServeConfig::for_workers(2)));
@@ -177,12 +187,7 @@ fn wide_offset_blif_is_a_fast_parse_reject() {
         ".model w\n.inputs {inputs}\n.outputs y\n.names {inputs} y\n\
          1-1-1-1-1-1-1-1-1-1- 0\n0--0--0--0--0--0--0- 0\n"
     );
-    let payload = Json::obj([
-        ("verb", Json::str("spcf")),
-        ("blif", Json::str(blif)),
-        ("targets", Json::Arr(vec![Json::Num(0.9)])),
-    ])
-    .render();
+    let payload = spcf_request(blif);
     assert!(payload.len() <= 256, "frame is {} bytes", payload.len());
 
     let start = Instant::now();
@@ -192,6 +197,52 @@ fn wide_offset_blif_is_a_fast_parse_reject() {
     assert_eq!(err.kind, "parse", "{err:?}");
     assert!(err.message.contains("limited to 10 fanins"), "{err:?}");
     assert!(elapsed < Duration::from_secs(1), "reject took {elapsed:?}");
+    handle.shutdown();
+}
+
+/// A BLIF document of `blocks` single-row off-set `.names` blocks of 10
+/// fanins each, every block driving an output.
+fn offset_blocks_blif(blocks: usize) -> String {
+    let fanins = "a b c d e f g h i j";
+    let outputs: Vec<String> = (0..blocks).map(|b| format!("y{b}")).collect();
+    let mut blif = format!(".model packed\n.inputs {fanins}\n.outputs {}\n", outputs.join(" "));
+    for out in &outputs {
+        blif.push_str(&format!(".names {fanins} {out}\n1-0-1-0-1- 0\n"));
+    }
+    blif.push_str(".end\n");
+    blif
+}
+
+/// Each 10-fanin off-set block is cheap on its own, but a frame near
+/// the size limit holds tens of thousands of them. The parser caps the
+/// complementation work of a whole document, so such a frame is a
+/// typed `parse` reject well inside the frame deadline, while a
+/// 20-block document still parses and is answered.
+#[test]
+fn frame_packed_with_offset_blocks_is_a_fast_parse_reject() {
+    let config = ServeConfig::for_workers(2);
+    let frame_deadline = config.frame_deadline;
+    let max_frame = config.max_frame as usize;
+    let core = Arc::new(ServeCore::new(config));
+    let handle = tm_server::net::serve(Arc::clone(&core), "127.0.0.1:0").expect("bind");
+    let addr = handle.addr().to_string();
+
+    let frame_of = |blocks| spcf_request(offset_blocks_blif(blocks));
+    let block_bytes = (frame_of(20_000).len() - frame_of(10_000).len()) / 10_000;
+    let packed = frame_of(max_frame * 9 / 10 / block_bytes);
+    assert!(packed.len() <= max_frame, "frame is {} bytes", packed.len());
+    let start = Instant::now();
+    let err = tm_client::request(&addr, &packed, Duration::from_secs(60))
+        .expect_err("a packed off-set document must be rejected");
+    let elapsed = start.elapsed();
+    assert_eq!(err.kind, "parse", "{err:?}");
+    assert!(err.message.contains("complementation work limit"), "{err:?}");
+    assert!(elapsed < frame_deadline, "reject took {elapsed:?}");
+
+    let response = tm_client::request(&addr, &frame_of(20), Duration::from_secs(60))
+        .expect("a 20-block off-set document parses");
+    let last = response.frames.last().and_then(|f| f.get("type")).and_then(Json::as_str);
+    assert_eq!(last, Some("done"), "{:?}", response.raw);
     handle.shutdown();
 }
 

@@ -160,24 +160,6 @@ impl Cube {
         (self.value ^ other.value) & common == 0
     }
 
-    /// Attempts the Quine–McCluskey merge: if the cubes bind the same
-    /// variables and differ in exactly one polarity, returns the merged
-    /// cube with that variable freed.
-    pub fn merge(&self, other: &Cube) -> Option<Cube> {
-        if self.mask != other.mask {
-            return None;
-        }
-        let diff = self.value ^ other.value;
-        if diff.count_ones() == 1 {
-            Some(Cube {
-                mask: self.mask & !diff,
-                value: self.value & !diff,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Number of minterms covered over a space of `num_vars` variables.
     pub fn minterm_count(&self, num_vars: usize) -> f64 {
         let free = num_vars as u32 - self.literal_count();
@@ -275,17 +257,6 @@ mod tests {
         assert!(a.intersect(&conflicting).is_none());
         assert!(!a.intersects(&conflicting));
         assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn qm_merge() {
-        let a = Cube::minterm(3, 0b010);
-        let b = Cube::minterm(3, 0b011);
-        let m = a.merge(&b).expect("adjacent minterms merge");
-        assert_eq!(m, Cube::from_literals(3, &[(1, true), (2, false)]));
-        // Non-adjacent minterms don't merge.
-        let c = Cube::minterm(3, 0b111);
-        assert!(a.merge(&c).is_none());
     }
 
     #[test]

@@ -1,24 +1,60 @@
-//! Quine–McCluskey prime implicant generation and two-level cover
-//! selection.
+//! Exact prime implicant generation and two-level cover selection.
 //!
 //! The short-path SPCF recursion (paper Eqn. 1) needs *all prime
 //! implicants* of the on-set and off-set of every gate function, and the
 //! masking synthesis (§4.1) needs minimized SOP covers of
 //! technology-independent nodes. Functions here are exact for tables up to
 //! [`crate::tt::MAX_TT_VARS`] inputs; the synthesis flow keeps node
-//! arities at 10–15 inputs, well inside that bound.
+//! arities at 10–15 inputs.
+//!
+//! # Prime generation
+//!
+//! [`prime_implicants`] walks free sets over bitset tables. For a set `S`
+//! of free variables, `B_S` is the table whose bit `m` says that the cube
+//! fixing every variable outside `S` to its value in `m` lies inside
+//! `on ∪ dc`. `B_∅ = on ∪ dc`, and `B_S = B_{S∖x} ∧ swap_x(B_{S∖x})` for
+//! `x` the lowest variable of `S`, where `swap_x` exchanges the minterms
+//! that differ in `x`. The cube `(S, m)` is prime iff `B_S[m]` holds and
+//! `B_S[m ⊕ y]` fails for every `y ∉ S`: no one-step enlargement is an
+//! implicant. Each `S` is derived from its parent `S ∖ x` in a
+//! depth-first walk that skips the subtree under an empty `B_S`. The
+//! walk holds one table per depth, `(n + 1) · 2^n` bits, and builds each
+//! nonempty `B_S` once: at most `2^n · 2^n` table bits in all (0.26 M
+//! words at 12 inputs), plus one swap per bound variable and word for the
+//! prime test.
+//!
+//! Tables wider than 12 inputs are first split on their top variable `x`:
+//! `P(f) = P(f₀ ∧ f₁) ∪ {x′p : p ∈ P(f₀), p ⊄ f₁} ∪ {x·p : p ∈ P(f₁), p ⊄ f₀}`.
+//! Each level of the split holds three half-width tables, so memory stays
+//! within a few times the input table, and a table of `n > 12` inputs
+//! makes at most `3^(n − 12)` walks of 12 inputs.
 
 use crate::cube::Cube;
 use crate::sop::Sop;
 use crate::tt::TruthTable;
 use std::collections::{HashMap, HashSet};
 
+/// Widest table the free-set walk takes directly; wider ones are split
+/// first. Extraction's default node support is 12 inputs.
+const LEAF_VARS: usize = 12;
+
+/// `LOW[x]` marks the bit positions `b` of a word whose bit `x` is 0.
+const LOW: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
 /// Computes all prime implicants of the incompletely specified function
 /// with the given on-set and don't-care set.
 ///
 /// A prime implicant is a cube contained in `on ∪ dc` that is not
-/// contained in any larger such cube. The result is sorted by ascending
-/// literal count (the order the essential-weight selection expects).
+/// contained in any larger such cube. A function has exactly one prime
+/// set; the result lists it sorted by ascending literal count, then
+/// mask, then value (the order the essential-weight selection expects).
 ///
 /// # Panics
 ///
@@ -37,55 +73,107 @@ use std::collections::{HashMap, HashSet};
 /// ```
 pub fn prime_implicants(on: &TruthTable, dc: &TruthTable) -> Vec<Cube> {
     assert_eq!(on.num_vars(), dc.num_vars(), "on/dc arity mismatch");
-    let n = on.num_vars();
     let care_or_dc = on | dc;
+    let mut primes = shannon_primes(&care_or_dc);
+    primes.sort_unstable_by_key(|c| (c.literal_count(), c.mask(), c.value()));
+    primes
+}
 
-    if care_or_dc.is_zero() {
-        return Vec::new();
-    }
-    if care_or_dc.is_one() {
-        return vec![Cube::universe()];
-    }
+/// Primes of `f` by the free-set walk (unsorted).
+fn free_set_primes(f: &TruthTable) -> Vec<Cube> {
+    let n = f.num_vars();
+    // levels[d] holds B_S for the free set S of size d on the walk.
+    let mut levels = vec![f.words().to_vec(); n + 1];
+    let mut primes = Vec::new();
+    walk(&mut levels, 0, 0, n, &mut primes);
+    primes
+}
 
-    // Level 0: all minterms of on ∪ dc.
-    let mut current: HashSet<Cube> = care_or_dc.minterms().map(|m| Cube::minterm(n, m)).collect();
-    let mut primes: Vec<Cube> = Vec::new();
-
-    while !current.is_empty() {
-        let mut merged_away: HashSet<Cube> = HashSet::new();
-        let mut next: HashSet<Cube> = HashSet::new();
-
-        // Group cubes by their bound-variable mask; only same-mask cubes
-        // can merge, and a merge partner differs in exactly one value bit.
-        let mut by_mask: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for c in &current {
-            by_mask.entry(c.mask()).or_default().insert(c.value());
-        }
-        for c in &current {
-            let values = &by_mask[&c.mask()];
-            let mut bit_iter = c.mask();
-            while bit_iter != 0 {
-                let bit = bit_iter & bit_iter.wrapping_neg();
-                bit_iter &= bit_iter - 1;
-                let partner = c.value() ^ bit;
-                if values.contains(&partner) {
-                    merged_away.insert(*c);
-                    merged_away.insert(Cube::from_masks(c.mask(), partner));
-                    next.insert(Cube::from_masks(c.mask() & !bit, c.value() & !bit));
-                }
+/// Emits the primes of free set `s`, whose table is `levels[depth]`,
+/// then visits `s ∪ {y}` for every `y` below `limit`, the lowest
+/// variable of `s`. Every free set is thus visited once, from the set
+/// without its lowest variable, and only when its table is nonempty.
+fn walk(levels: &mut [Vec<u64>], depth: usize, s: u64, limit: usize, out: &mut Vec<Cube>) {
+    let n = levels.len() - 1;
+    emit_primes(&levels[depth], s, n, out);
+    for y in 0..limit {
+        let (done, rest) = levels.split_at_mut(depth + 1);
+        let (b, child) = (&done[depth], &mut rest[0]);
+        let mut any = 0;
+        if y < 6 {
+            for (c, &w) in child.iter_mut().zip(b) {
+                *c = w & swap_in_word(w, y);
+                any |= *c;
+            }
+        } else {
+            let stride = 1 << (y - 6);
+            for (i, c) in child.iter_mut().enumerate() {
+                *c = b[i] & b[i ^ stride];
+                any |= *c;
             }
         }
-
-        for c in &current {
-            if !merged_away.contains(c) {
-                primes.push(*c);
-            }
+        if any != 0 {
+            walk(levels, depth + 1, s | 1 << y, y, out);
         }
-        current = next;
     }
+}
 
-    primes.sort_by_key(|c| (c.literal_count(), c.mask(), c.value()));
-    primes.dedup();
+/// Exchanges the bit positions of a word that differ in bit `y < 6`.
+fn swap_in_word(w: u64, y: usize) -> u64 {
+    let k = 1 << y;
+    ((w >> k) & LOW[y]) | ((w & LOW[y]) << k)
+}
+
+/// Pushes every prime `(s, m)` of the table `b = B_s` of free set `s`:
+/// `m` has no bit of `s` set, `b[m]` holds and `b[m ⊕ y]` fails for
+/// every variable `y ∉ s`.
+fn emit_primes(b: &[u64], s: u64, n: usize, out: &mut Vec<Cube>) {
+    let bound = ((1u64 << n) - 1) & !s;
+    let rep_low = (0..6).filter(|&x| s >> x & 1 == 1).fold(u64::MAX, |m, x| m & LOW[x]);
+    let s_high = (s >> 6) as usize;
+    for (i, &word) in b.iter().enumerate() {
+        if i & s_high != 0 {
+            continue;
+        }
+        let mut w = word & rep_low;
+        let mut y = 0;
+        while w != 0 && y < n {
+            if s >> y & 1 == 0 {
+                let partner = if y < 6 { swap_in_word(word, y) } else { b[i ^ 1 << (y - 6)] };
+                w &= !partner;
+            }
+            y += 1;
+        }
+        while w != 0 {
+            let bit = u64::from(w.trailing_zeros());
+            w &= w - 1;
+            out.push(Cube::from_masks(bound, (i as u64) << 6 | bit));
+        }
+    }
+}
+
+/// Primes of `f` by Shannon splits on the top variable down to
+/// [`LEAF_VARS`] inputs (unsorted).
+fn shannon_primes(f: &TruthTable) -> Vec<Cube> {
+    let n = f.num_vars();
+    if n <= LEAF_VARS {
+        return free_set_primes(f);
+    }
+    let (lo, hi) = f.words().split_at(f.words().len() / 2);
+    let f0 = TruthTable::from_words(n - 1, lo.to_vec());
+    let f1 = TruthTable::from_words(n - 1, hi.to_vec());
+    let x = 1u64 << (n - 1);
+    let mut primes = shannon_primes(&(&f0 & &f1));
+    for p in shannon_primes(&f0) {
+        if !f1.covers_cube(&p) {
+            primes.push(Cube::from_masks(p.mask() | x, p.value()));
+        }
+    }
+    for p in shannon_primes(&f1) {
+        if !f0.covers_cube(&p) {
+            primes.push(Cube::from_masks(p.mask() | x, p.value() | x));
+        }
+    }
     primes
 }
 

@@ -140,6 +140,22 @@ impl TruthTable {
         t
     }
 
+    /// Builds a table from its packed words (bit `m & 63` of word
+    /// `m >> 6` is minterm `m`).
+    pub(crate) fn from_words(num_vars: usize, words: Vec<u64>) -> Self {
+        assert!(num_vars <= MAX_TT_VARS, "truth table limited to {MAX_TT_VARS} vars");
+        assert_eq!(words.len(), word_count(num_vars), "word count mismatch");
+        let mut t = TruthTable { num_vars, words };
+        t.canonicalize();
+        t
+    }
+
+    /// The packed words: bit `m & 63` of word `m >> 6` is minterm `m`.
+    /// Bits past `2^num_vars` in a single-word table are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of input variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars

@@ -16,12 +16,19 @@ use tm_logic::{qm, Cube, Sop, TruthTable};
 
 /// Widest `.names` block that may be given by off-set rows (output
 /// `0`). The off-set is complemented into an on-set cover by exact
-/// two-level minimization, whose prime-implicant search visits up to
-/// `3^n` implicants: at 10 fanins that is under 60 000, and a
-/// single-row off-set block parses in about 0.13 s (release build, one
-/// Xeon vCPU), while each further fanin multiplies the time by about
-/// five.
+/// two-level minimization, whose prime generation walks up to `2^n`
+/// free sets over `2^n`-bit tables: a single-row 10-fanin block parses
+/// in about 0.3 ms (release build, one Xeon vCPU), and the cost grows
+/// about fourfold per fanin.
 const MAX_OFFSET_FANINS: usize = 10;
+
+/// Cap on the off-set complementation work of one document, in table
+/// bits: a block of `n` fanins costs `2^n · 2^n` for its prime generation
+/// plus `2^n` per prime of the complement for its cover selection. About
+/// 60 single-row 10-fanin blocks fit, so a document cannot multiply the
+/// per-block bound by packing blocks into one frame. The cap holds
+/// whatever the request budget says.
+const MAX_OFFSET_WORK: u64 = 1 << 26;
 
 /// Error produced while parsing BLIF text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +70,9 @@ impl Error for ParseBlifError {}
 /// Returns [`ParseBlifError`] on malformed syntax, undefined signals,
 /// duplicate definitions, cyclic node dependencies, `.names` blocks
 /// with more than [`MAX_TT_VARS`] fanins (the supported subset keeps
-/// every node truth-table representable), or off-set blocks with more
-/// than 10 fanins. Arbitrary — including
+/// every node truth-table representable), off-set blocks with more
+/// than 10 fanins, or off-set blocks whose complementation work adds up
+/// past the document's cap. Arbitrary — including
 /// adversarial — input never panics; every rejection carries the
 /// 1-based line number of the offending construct.
 ///
@@ -90,7 +98,7 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
     struct RawNames {
         line: usize,
         signals: Vec<String>, // fanins... , output
-        rows: Vec<(String, char)>,
+        cover: Sop,
     }
 
     let mut model_name = String::from("unnamed");
@@ -99,6 +107,7 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
     let mut input_names: Vec<(usize, String)> = Vec::new();
     let mut output_names: Vec<(usize, String)> = Vec::new();
     let mut names_blocks: Vec<RawNames> = Vec::new();
+    let mut offset_work = 0u64;
 
     // Join continuation lines, tracking original line numbers.
     let mut logical_lines: Vec<(usize, String)> = Vec::new();
@@ -220,7 +229,13 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
                         ),
                     ));
                 }
-                names_blocks.push(RawNames { line: *line_no, signals, rows });
+                let cover = rows_to_cover(arity, &rows, &mut offset_work).ok_or_else(|| {
+                    ParseBlifError::new(
+                        *line_no,
+                        "off-set rows of this document exceed the complementation work limit",
+                    )
+                })?;
+                names_blocks.push(RawNames { line: *line_no, signals, cover });
             }
             ".end" => {
                 idx += 1;
@@ -271,11 +286,8 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
                 return true; // keep for a later pass
             }
             let out_name = block.signals.last().expect("nonempty").clone();
-            let arity = fanins.len();
             let fanin_ids = fanins.iter().map(|f| defined[f]).collect::<Vec<_>>();
-
-            let cover = rows_to_cover(arity, &block.rows);
-            let sig = net.add_node(out_name.clone(), fanin_ids, cover);
+            let sig = net.add_node(out_name.clone(), fanin_ids, block.cover.clone());
             defined.insert(out_name, sig);
             progressed = true;
             false
@@ -304,7 +316,10 @@ pub fn parse_blif(text: &str) -> Result<SopNetwork, ParseBlifError> {
     Ok(net)
 }
 
-fn rows_to_cover(arity: usize, rows: &[(String, char)]) -> Sop {
+/// The on-set cover of a block's rows. Off-set rows are complemented
+/// by exact minimization, whose work is charged to `offset_work`;
+/// `None` once the document's total passes [`MAX_OFFSET_WORK`].
+fn rows_to_cover(arity: usize, rows: &[(String, char)], offset_work: &mut u64) -> Option<Sop> {
     let mut on_rows: Vec<Cube> = Vec::new();
     let mut off_rows: Vec<Cube> = Vec::new();
     for (plane, out) in rows {
@@ -323,13 +338,25 @@ fn rows_to_cover(arity: usize, rows: &[(String, char)]) -> Sop {
             off_rows.push(cube);
         }
     }
-    if !off_rows.is_empty() {
-        // Off-set rows define the complement; on-set = NOT(union of rows).
-        let off = TruthTable::from_sop(arity, &Sop::from_cubes(arity, off_rows));
-        qm::minimize(&!&off, &TruthTable::zero(arity))
-    } else {
-        Sop::from_cubes(arity, on_rows)
+    if off_rows.is_empty() {
+        return Some(Sop::from_cubes(arity, on_rows));
     }
+    // Off-set rows define the complement; on-set = NOT(union of rows).
+    let minterms = 1u64 << arity;
+    let mut charge = |bits: u64| {
+        *offset_work += bits;
+        *offset_work <= MAX_OFFSET_WORK
+    };
+    if !charge(minterms * minterms) {
+        return None;
+    }
+    let off = TruthTable::from_sop(arity, &Sop::from_cubes(arity, off_rows));
+    let on = !&off;
+    let primes = qm::prime_implicants(&on, &TruthTable::zero(arity));
+    if !charge(minterms * primes.len() as u64) {
+        return None;
+    }
+    Some(qm::select_cover(&on, &primes))
 }
 
 /// Serializes a [`SopNetwork`] to BLIF text.
@@ -505,6 +532,31 @@ mod tests {
         assert!(err.to_string().contains(&limit), "{err}");
         // The limit is on off-set rows only: a wide on-set cover parses.
         parse_blif(&doc(MAX_OFFSET_FANINS + 1, '1')).expect("wide on-set");
+    }
+
+    /// A document of `blocks` single-row off-set blocks of 10 fanins.
+    fn offset_blocks_doc(blocks: usize) -> String {
+        let fanins: Vec<String> = (0..MAX_OFFSET_FANINS).map(|i| format!("x{i}")).collect();
+        let fanins = fanins.join(" ");
+        let mut doc = format!(".model m\n.inputs {fanins}\n.outputs y0\n");
+        for b in 0..blocks {
+            doc.push_str(&format!(".names {fanins} y{b}\n1-0-1-0-1- 0\n"));
+        }
+        doc
+    }
+
+    #[test]
+    fn offset_work_is_capped_per_document() {
+        // Twenty blocks stay well inside the cap and parse exactly.
+        let net = parse_blif(&offset_blocks_doc(20)).expect("20 off-set blocks");
+        assert_eq!(net.num_nodes(), 20);
+        let block_work = (1u64 << 20) + (1 << 10) * 5; // 5 primes per complement
+        let fits = (MAX_OFFSET_WORK / block_work) as usize;
+        parse_blif(&offset_blocks_doc(fits)).expect("blocks up to the cap");
+        // One block more is a typed reject at that block's .names line.
+        let err = parse_blif(&offset_blocks_doc(fits + 1)).expect_err("past the cap");
+        assert_eq!(err.line(), 4 + 2 * fits, "{err}");
+        assert!(err.to_string().contains("complementation work limit"), "{err}");
     }
 
     #[test]

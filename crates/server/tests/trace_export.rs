@@ -3,19 +3,27 @@
 //! and — the property everything else defers to — bit-identity of
 //! response frames with recording on and off.
 //!
-//! The tests share one process, and the recorder's force switch and
-//! slow log are process-global, so every test that flips recording
-//! state funnels through [`force_on`] and asserts on trace ids it
-//! observed itself rather than on global counts.
+//! The tests share one process, and the recorder's force switch, its
+//! per-thread rings and the slow log are process-global, so the tests
+//! take turns through [`recorder_turn`]: a test that compares two
+//! exports must not see another test's threads add or drain events
+//! between them.
 
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use tm_server::gen::synthetic_blif;
 use tm_server::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use tm_server::serve::{ServeConfig, ServeCore};
 use tm_telemetry::flight;
 use tm_testkit::json::Json;
+
+/// Serializes the tests of this binary on the process-global recorder.
+/// A failed test poisons the lock; the next one still takes its turn.
+fn recorder_turn() -> MutexGuard<'static, ()> {
+    static RECORDER: Mutex<()> = Mutex::new(());
+    RECORDER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spcf_payload(blif: &str) -> String {
     Json::obj([
@@ -69,6 +77,7 @@ fn trace_id_of(ev: &Json) -> u64 {
 /// and the phase durations sum to within the root's wall time.
 #[test]
 fn slow_request_yields_nested_phase_tree_via_trace_verb() {
+    let _turn = recorder_turn();
     flight::force_recording(true);
     let mut config = ServeConfig::for_workers(2);
     config.slow_threshold = Duration::ZERO;
@@ -178,6 +187,7 @@ fn slow_request_yields_nested_phase_tree_via_trace_verb() {
 /// recorder dormant and active.
 #[test]
 fn response_frames_are_bit_identical_with_recording_on_and_off() {
+    let _turn = recorder_turn();
     let blif = synthetic_blif(11, 9, 28);
     let payload = spcf_payload(&blif);
     let run = |record: bool| -> Vec<String> {
@@ -208,6 +218,7 @@ fn response_frames_are_bit_identical_with_recording_on_and_off() {
 /// client instead of silent.
 #[test]
 fn stats_frame_surfaces_recorder_depth_and_drop_counts() {
+    let _turn = recorder_turn();
     let _scope = tm_telemetry::Scope::enter();
     flight::set_thread_recording(Some(true));
     let core = ServeCore::new(ServeConfig::default());
@@ -252,6 +263,7 @@ fn stats_frame_surfaces_recorder_depth_and_drop_counts() {
 /// exact accounting, and rejects malformed limits with a typed error.
 #[test]
 fn trace_verb_limit_truncates_and_bad_limits_are_typed() {
+    let _turn = recorder_turn();
     flight::force_recording(true);
     let core = Arc::new(ServeCore::new(ServeConfig::for_workers(1)));
     let server = tm_server::net::serve(core, "127.0.0.1:0").expect("bind");

@@ -235,13 +235,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash in
+                    // one step. Both are ASCII, so the run of the &str
+                    // input ends on a UTF-8 boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -376,6 +380,15 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_long_strings_in_linear_time() {
+        // A string the size of a full server frame, with escapes and
+        // multi-byte scalars spread through it.
+        let text = "row 1-0-1 0\n\"é\" ".repeat(200_000);
+        let v = Json::parse(&Json::str(text.clone()).render()).expect("ok");
+        assert_eq!(v, Json::str(text));
     }
 
     #[test]

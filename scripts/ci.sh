@@ -6,48 +6,51 @@
 #    no registry (crates.io or mirror) or git sources, ever.
 # 2. Build and test the whole workspace with `--offline`, proving the
 #    tree compiles and passes with no network and no registry cache.
-# 3. Smoke-run the SPCF bench with telemetry enabled and validate the
+# 3. Prime-generation differential: the ignored tm-logic test checks
+#    the on-set and off-set primes of every extracted node table of the
+#    20 Table 2 stand-ins against a Quine–McCluskey oracle, in release.
+# 4. Smoke-run the SPCF bench with telemetry enabled and validate the
 #    emitted metrics snapshot against the closed schema registry
 #    (unknown metric names, malformed digests, or a schema-version
 #    bump all fail CI here, not in a downstream dashboard), and require
 #    a nonzero short-path per-output latency digest.
-# 4. BDD micro-bench smoke: a `bdd_ops` run whose metrics snapshot must
+# 5. BDD micro-bench smoke: a `bdd_ops` run whose metrics snapshot must
 #    show nonzero ITE-cache and unique-table hits.
-# 5. Panic audit (DESIGN.md §7): non-test library code may only contain
+# 6. Panic audit (DESIGN.md §7): non-test library code may only contain
 #    panic-capable calls (`unwrap()`, `expect(`, `panic!(`) in files
 #    allowlisted — with justification — in scripts/panic_allowlist.txt.
 #    Untrusted-input paths (parsers, runtime entry points) must return
 #    `TmError` instead. Stale allowlist entries fail too.
-# 6. Fuzz smoke: the mutation-based BLIF parser fuzz suite (hundreds of
+# 7. Fuzz smoke: the mutation-based BLIF parser fuzz suite (hundreds of
 #    adversarial documents; any panic fails the run).
-# 7. Serve smoke: boot the daemon with a tiny admission gate, drive it
+# 8. Serve smoke: boot the daemon with a tiny admission gate, drive it
 #    with loadgen's smoke mode (which must trip admission shedding),
 #    and validate the STATS snapshot against the schema.
-# 8. Trace smoke: boot the daemon, drive it with loadgen, pull a
+# 9. Trace smoke: boot the daemon, drive it with loadgen, pull a
 #    flight-recorder export over the `trace` verb, and validate the
 #    Chrome trace JSON (nesting, phase sums) with `tm-profile --check`.
-# 9. Chaos smoke (DESIGN.md §13): boot the daemon with the fault plane
+# 10. Chaos smoke (DESIGN.md §13): boot the daemon with the fault plane
 #    armed via TM_FAULTS (seeded socket stalls, read errors, admission
 #    refusals, worker-spawn failures), drive it with loadgen's chaos
 #    mode under the shared retry policy, send the `shutdown` verb, and
 #    require a clean-drain exit code plus a schema-valid final stats
 #    snapshot with nonzero fault-injection and deadline counters.
-# 10. GC smoke (DESIGN.md §14): boot the daemon with the BDD capacity
+# 11. GC smoke (DESIGN.md §14): boot the daemon with the BDD capacity
 #    tier armed at a floor watermark (GC after every request), drive
 #    the smoke mix, and require nonzero bdd.gc.runs/bdd.gc.reclaimed in
 #    the schema-valid STATS snapshot; then run the 10k-request soak
 #    battery (TM_SOAK=1), whose watermark phase holds bdd.store.live
 #    exactly flat between request boundaries.
-# 11. Fleet smoke (DESIGN.md §15): a small sharded lifetime run whose
+# 12. Fleet smoke (DESIGN.md §15): a small sharded lifetime run whose
 #    metrics snapshot must carry the fleet counters, plus a schema check
 #    of the fresh report and of the committed BENCH_fleet.json.
-# 12. Dormant-overhead guard: a fresh `bdd_ops` smoke run (TM_FAULTS
+# 13. Dormant-overhead guard: a fresh `bdd_ops` smoke run (TM_FAULTS
 #    unset) must stay within 2% of the committed BENCH_bdd.json medians
 #    — the always-on recorder's gate checks, the dormant fault plane's
 #    armed-flag checks, AND the capacity tier's per-mk bookkeeping
 #    (exempt-mode branch, live-entry counter, identity-order fast path)
 #    must cost nothing while inactive.
-# 13. Dormant-overhead guard: a fresh `sim_kernels` smoke run must stay
+# 14. Dormant-overhead guard: a fresh `sim_kernels` smoke run must stay
 #    within 5% of the committed BENCH_sim.json medians — the scalar
 #    timing simulator must not pay for the packed kernel's machinery.
 set -euo pipefail
@@ -74,6 +77,9 @@ cargo build --release --offline --workspace --all-targets
 
 echo "== offline workspace tests =="
 cargo test -q --offline --workspace
+
+echo "== prime-generation differential (every Table 2 node table) =="
+cargo test --release --offline -p tm-logic -- --ignored
 
 echo "== telemetry smoke bench + schema validation =="
 metrics_json=target/tm-bench/ci-spcf-metrics.json
