@@ -1,7 +1,9 @@
 //! Regenerates Table 1: accuracy vs runtime for computing the
 //! speed-path characteristic function with the three approaches.
 //!
-//! Run with: `cargo run -p tm-bench --release --bin table1`
+//! Run with: `cargo run -p tm-bench --release --bin table1`. With
+//! `TM_METRICS_OUT=<path>` set, the run's telemetry snapshot is written
+//! to `<path>` (see [`tm_bench::with_metrics_out`]).
 //!
 //! Each row runs the three engines as warm sessions over one shared
 //! BDD manager (see [`tm_bench::run_table1_row`]).
@@ -10,6 +12,10 @@ use tm_bench::{harness_library, run_table1_row, seconds};
 use tm_netlist::suites::table1_suite;
 
 fn main() {
+    tm_bench::with_metrics_out(run);
+}
+
+fn run() {
     let lib = harness_library();
     println!("Table 1: accuracy vs runtime for computing the SPCF (Δ_y = 0.9Δ)");
     println!("(critical patterns summed over critical outputs; stand-in circuits, see DESIGN.md)");

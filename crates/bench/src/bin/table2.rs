@@ -1,12 +1,18 @@
 //! Regenerates Table 2: area and power overhead for 100 % masking of
 //! timing errors on speed-paths.
 //!
-//! Run with: `cargo run -p tm-bench --release --bin table2`
+//! Run with: `cargo run -p tm-bench --release --bin table2`. With
+//! `TM_METRICS_OUT=<path>` set, the run's telemetry snapshot is written
+//! to `<path>` (see [`tm_bench::with_metrics_out`]).
 
 use tm_bench::{harness_library, run_table2_row};
 use tm_netlist::suites::table2_suite;
 
 fn main() {
+    tm_bench::with_metrics_out(run);
+}
+
+fn run() {
     let lib = harness_library();
     println!("Table 2: area and power overhead for 100% masking of timing errors (Δ_y = 0.9Δ)");
     println!("(stand-in circuits with the paper's interfaces; see DESIGN.md §3)");

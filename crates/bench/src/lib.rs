@@ -8,12 +8,15 @@
 //! | §4 design-choice ablations | `cargo run -p tm-bench --release --bin ablations` |
 //! | §6 future work + §2 baselines | `cargo run -p tm-bench --release --bin extensions` |
 //! | protection-band sweep | `cargo run -p tm-bench --release --bin sweep` |
-//! | §2.1 wearout & debug | `examples/wearout.rs`, `examples/silicon_debug.rs`, `cargo bench` group `monitor` |
+//! | §2.1 wearout & debug | `examples/wearout.rs`, `examples/silicon_debug.rs` |
 //!
-//! Micro-benchmarks (`cargo bench -p tm-bench`, tm-testkit harness) time the same
-//! kernels statistically. Every workload is deterministic: the suite
-//! circuits are seeded stand-ins for the paper's benchmarks (see
-//! `DESIGN.md` §3).
+//! Performance is measured in two places only. The `perfbench` package
+//! times four seeded workloads end to end and per layer. The tests
+//! under `tests/` pin exact work counts (`work_counts`, which also
+//! asserts the Table 1 claims) and bound the cost of dormant
+//! instrumentation with a paired in-process A/B (`dormant_sites`).
+//! Every workload is deterministic: the suite circuits are seeded
+//! stand-ins for the paper's benchmarks (see `DESIGN.md` §3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,89 +114,21 @@ pub fn harness_library() -> Arc<Library> {
     Arc::new(lsi10k_like())
 }
 
-/// Command-line options shared by every bench binary.
-///
-/// `cargo bench -p tm-bench --bench <name> -- [FLAGS]` accepts:
-///
-/// - `--samples N` — override the timed sample count (1 = smoke run);
-/// - `--metrics-out PATH` — collect telemetry during the run and write
-///   the JSON snapshot to PATH on [`BenchArgs::write_metrics`]
-///   (`TM_METRICS_OUT` is the env equivalent);
-/// - `--smoke` — benches that offer it substitute a small fast circuit
-///   suite (CI uses this to validate the metrics pipeline cheaply).
-///
-/// Unrecognized flags (e.g. cargo's own `--bench`) are ignored.
-#[derive(Clone, Debug, Default)]
-pub struct BenchArgs {
-    /// Sample-count override.
-    pub samples: Option<usize>,
-    /// Telemetry snapshot destination; collection is enabled when set.
-    pub metrics_out: Option<String>,
-    /// Prefer the small smoke suite over the full workload.
-    pub smoke: bool,
-}
-
-impl BenchArgs {
-    /// Parses the process arguments (leniently) and `TM_METRICS_OUT`,
-    /// enabling telemetry collection if a metrics destination is set.
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut out = BenchArgs::default();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--samples" => {
-                    out.samples = argv.get(i + 1).and_then(|v| v.parse().ok());
-                    i += 1;
-                }
-                "--metrics-out" => {
-                    out.metrics_out = argv.get(i + 1).cloned();
-                    i += 1;
-                }
-                "--smoke" => out.smoke = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        if out.metrics_out.is_none() {
-            out.metrics_out = tm_telemetry::metrics_out_env();
-        }
-        if out.metrics_out.is_some() {
-            tm_telemetry::set_thread_enabled(Some(true));
-        }
-        out
+/// Runs `body` and, when `TM_METRICS_OUT` names a file, collects
+/// telemetry on this thread during it and writes the snapshot there.
+pub fn with_metrics_out<T>(body: impl FnOnce() -> T) -> T {
+    let out = tm_telemetry::metrics_out_env();
+    if out.is_some() {
+        tm_telemetry::set_thread_enabled(Some(true));
     }
-
-    /// Applies the sample override to a group; a 1–2 sample smoke run
-    /// also cuts the warmup, since nothing statistical is at stake.
-    pub fn apply(&self, group: &mut tm_testkit::bench::BenchGroup) {
-        if let Some(n) = self.samples {
-            group.sample_size(n);
-            if n <= 2 {
-                group.warmup(Duration::from_millis(5));
-            }
+    let result = body();
+    if let Some(path) = out {
+        match tm_telemetry::write_snapshot(&path) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("tm-bench: could not write {path}: {e}"),
         }
     }
-
-    /// Writes the telemetry snapshot to the configured path, if any.
-    /// Call once, after every group has finished. A relative path is
-    /// resolved against the workspace root (cargo runs bench binaries
-    /// with the package directory as CWD).
-    pub fn write_metrics(&self) {
-        let Some(path) = &self.metrics_out else { return };
-        let resolved = if std::path::Path::new(path).is_relative() {
-            match tm_testkit::bench::workspace_root() {
-                Some(root) => root.join(path).to_string_lossy().into_owned(),
-                None => path.clone(),
-            }
-        } else {
-            path.clone()
-        };
-        match tm_telemetry::write_snapshot(&resolved) {
-            Ok(()) => println!("wrote {resolved}"),
-            Err(e) => eprintln!("tm-bench: could not write {resolved}: {e}"),
-        }
-    }
+    result
 }
 
 /// Formats a duration in seconds like the paper's runtime columns.

@@ -66,6 +66,5 @@ pub use razor::{RazorModel, RazorOutcome};
 pub use telescopic::{evaluate_telescopic, TelescopicOutcome};
 pub use trace::{CapturePolicy, DebugSession, SessionResult, TraceBuffer, TraceEntry};
 pub use wearout::{
-    run_lifetime, run_lifetime_with, EpochStats, LifetimeConfig, LifetimeKernel,
-    WearoutAssessment, WearoutPredictor,
+    run_lifetime, EpochStats, LifetimeConfig, WearoutAssessment, WearoutPredictor,
 };

@@ -91,15 +91,15 @@ impl Default for LifetimeConfig {
 }
 
 /// Which timed-simulation kernel drives the lifetime epochs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LifetimeKernel {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LifetimeKernel {
     /// The 64-lane packed kernel ([`PackedTimingSim`]): 64 consecutive
-    /// workload transitions advance per word op. The default.
-    #[default]
+    /// workload transitions advance per word op.
     Packed,
     /// The original per-vector event-driven loop ([`TimingSim`]) — the
-    /// bit-identity oracle for the packed kernel (see the differential
-    /// test gate).
+    /// bit-identity oracle for the packed kernel, selected only by the
+    /// packed-vs-scalar differential test.
+    #[cfg_attr(not(test), allow(dead_code))]
     Scalar,
 }
 
@@ -134,8 +134,9 @@ fn epoch_workload(config: &LifetimeConfig, num_inputs: usize, epoch: usize) -> V
 /// model's speed-path rate; all other gates (including the masking
 /// circuit, which rides on its ≥ 20 % slack) age at the base rate.
 ///
-/// Runs on the packed 64-lane kernel; see [`run_lifetime_with`] to
-/// pick the kernel explicitly.
+/// Runs on the packed 64-lane kernel, which is bit-identical to the
+/// scalar event-driven [`TimingSim`] loop (a differential test pins
+/// this).
 ///
 /// # Errors
 ///
@@ -148,11 +149,7 @@ pub fn run_lifetime(design: &MaskedDesign, config: &LifetimeConfig) -> TmResult<
 
 /// [`run_lifetime`] with an explicit kernel choice. Both kernels
 /// produce bit-identical epoch logs.
-///
-/// # Errors
-///
-/// Same contract as [`run_lifetime`].
-pub fn run_lifetime_with(
+fn run_lifetime_with(
     design: &MaskedDesign,
     config: &LifetimeConfig,
     kernel: LifetimeKernel,

@@ -12,8 +12,9 @@
 //!
 //! - **Dormant is free.** Every hook first checks [`armed`], a single
 //!   relaxed atomic load of a static `AtomicBool`. No spec parsing, no
-//!   locks, no RNG unless a plane is installed. The `ci.sh`
-//!   dormant-overhead guard holds this to ≤ 2% on the BDD hot core.
+//!   locks, no RNG unless a plane is installed. `tm-bench`'s
+//!   `dormant_sites` test (a `ci.sh` stage) times the BDD and memo
+//!   hooks against an empty loop and bounds their per-call cost.
 //! - **Deterministic when armed.** Each site owns a PRNG seeded from
 //!   `seed ^ fnv1a(site name)` and an evaluation counter; `p=`
 //!   decisions consume the site's own stream and `nth=` decisions are

@@ -31,13 +31,13 @@
 //!
 //! Collection is off by default. It turns on when the `TM_TRACE`
 //! environment variable is set (to anything but `0`), or per thread via
-//! [`Scope`] (used by tests and by benches honoring `--metrics-out` /
-//! `TM_METRICS_OUT`). `TM_TRACE=2` additionally prints span enter/exit
-//! lines to stderr. While disabled every recording call is a single
-//! cached branch and [`snapshot`] returns an empty report. No CI stage
-//! times that branch on its own; the `bdd_ops` dormant-overhead guard
-//! in `scripts/ci.sh` covers the flight recorder's gate on the BDD
-//! hot core.
+//! [`Scope`] (used by tests, and by the regenerators and `fleet` when
+//! `TM_METRICS_OUT` names a snapshot file). `TM_TRACE=2` additionally
+//! prints span enter/exit lines to stderr. While disabled every
+//! recording call is a single cached branch and [`snapshot`] returns an
+//! empty report. `tm-bench`'s `dormant_sites` test times that branch
+//! for each hot entry point ([`counter_add`], [`digest_record`],
+//! [`span!`], [`flight::phase`]) against an empty loop, in release.
 //!
 //! All state is **thread-local**: parallel `cargo test` threads never
 //! share a store, so snapshots are deterministic per test.
@@ -77,8 +77,8 @@ use std::sync::OnceLock;
 /// collect, `2` = collect and print span enter/exit to stderr).
 pub const TRACE_ENV: &str = "TM_TRACE";
 
-/// Environment variable naming a file benches write their metrics
-/// snapshot to (same effect as passing `--metrics-out <path>`).
+/// Environment variable naming a file the `table1`/`table2`
+/// regenerators and `fleet` write their metrics snapshot to.
 pub const METRICS_OUT_ENV: &str = "TM_METRICS_OUT";
 
 static ENV_LEVEL: OnceLock<u8> = OnceLock::new();
@@ -142,8 +142,8 @@ impl Drop for Scope {
     }
 }
 
-/// The metrics output path benches should honor: the value of
-/// `TM_METRICS_OUT`, if set.
+/// The metrics output path to honor: the value of `TM_METRICS_OUT`,
+/// if set.
 pub fn metrics_out_env() -> Option<String> {
     std::env::var(METRICS_OUT_ENV).ok().filter(|p| !p.is_empty())
 }

@@ -9,50 +9,48 @@
 # 3. Prime-generation differential: the ignored tm-logic test checks
 #    the on-set and off-set primes of every extracted node table of the
 #    20 Table 2 stand-ins against a Quine–McCluskey oracle, in release.
-# 4. Smoke-run the SPCF bench with telemetry enabled and validate the
-#    emitted metrics snapshot against the closed schema registry
-#    (unknown metric names, malformed digests, or a schema-version
-#    bump all fail CI here, not in a downstream dashboard), and require
-#    a nonzero short-path per-output latency digest.
-# 5. BDD micro-bench smoke: a `bdd_ops` run whose metrics snapshot must
-#    show nonzero ITE-cache and unique-table hits.
-# 6. Panic audit (DESIGN.md §7): non-test library code may only contain
+# 4. Table 1 telemetry smoke: run the `table1` regenerator with
+#    TM_METRICS_OUT and validate the emitted metrics snapshot against
+#    the closed schema registry (unknown metric names, malformed
+#    digests, or a schema-version bump all fail CI here, not in a
+#    downstream dashboard), requiring a nonzero short-path per-output
+#    latency digest and nonzero ITE-cache and unique-table hits.
+# 5. Panic audit (DESIGN.md §7): non-test library code may only contain
 #    panic-capable calls (`unwrap()`, `expect(`, `panic!(`) in files
 #    allowlisted — with justification — in scripts/panic_allowlist.txt.
 #    Untrusted-input paths (parsers, runtime entry points) must return
 #    `TmError` instead. Stale allowlist entries fail too.
-# 7. Fuzz smoke: the mutation-based BLIF parser fuzz suite (hundreds of
+# 6. Fuzz smoke: the mutation-based BLIF parser fuzz suite (hundreds of
 #    adversarial documents; any panic fails the run).
-# 8. Serve smoke: boot the daemon with a tiny admission gate, drive it
+# 7. Serve smoke: boot the daemon with a tiny admission gate, drive it
 #    with loadgen's smoke mode (which must trip admission shedding),
 #    and validate the STATS snapshot against the schema.
-# 9. Trace smoke: boot the daemon, drive it with loadgen, pull a
+# 8. Trace smoke: boot the daemon, drive it with loadgen, pull a
 #    flight-recorder export over the `trace` verb, and validate the
 #    Chrome trace JSON (nesting, phase sums) with `tm-profile --check`.
-# 10. Chaos smoke (DESIGN.md §13): boot the daemon with the fault plane
+# 9. Chaos smoke (DESIGN.md §13): boot the daemon with the fault plane
 #    armed via TM_FAULTS (seeded socket stalls, read errors, admission
 #    refusals, worker-spawn failures), drive it with loadgen's chaos
 #    mode under the shared retry policy, send the `shutdown` verb, and
 #    require a clean-drain exit code plus a schema-valid final stats
 #    snapshot with nonzero fault-injection and deadline counters.
-# 11. GC smoke (DESIGN.md §14): boot the daemon with the BDD capacity
+# 10. GC smoke (DESIGN.md §14): boot the daemon with the BDD capacity
 #    tier armed at a floor watermark (GC after every request), drive
 #    the smoke mix, and require nonzero bdd.gc.runs/bdd.gc.reclaimed in
 #    the schema-valid STATS snapshot; then run the 10k-request soak
 #    battery (TM_SOAK=1), whose watermark phase holds bdd.store.live
 #    exactly flat between request boundaries.
-# 12. Fleet smoke (DESIGN.md §15): a small sharded lifetime run whose
+# 11. Fleet smoke (DESIGN.md §15): a small sharded lifetime run whose
 #    metrics snapshot must carry the fleet counters, plus a schema check
 #    of the fresh report and of the committed BENCH_fleet.json.
-# 13. Dormant-overhead guard: a fresh `bdd_ops` smoke run (TM_FAULTS
-#    unset) must stay within 2% of the committed BENCH_bdd.json medians
-#    — the always-on recorder's gate checks, the dormant fault plane's
-#    armed-flag checks, AND the capacity tier's per-mk bookkeeping
-#    (exempt-mode branch, live-entry counter, identity-order fast path)
-#    must cost nothing while inactive.
-# 14. Dormant-overhead guard: a fresh `sim_kernels` smoke run must stay
-#    within 5% of the committed BENCH_sim.json medians — the scalar
-#    timing simulator must not pay for the packed kernel's machinery.
+# 12. Dormant-site check: the release `dormant_sites` test times every
+#    dormant instrumentation entry point that hot code calls (telemetry
+#    counters, digests and spans, flight-recorder phases, fault-plane
+#    hooks) against an empty loop in paired, interleaved blocks, and
+#    fails any site whose median per-call cost exceeds a fixed bound.
+#    Its self-test must see an injected 50 ns spin trip the same check.
+#    (The exact work-count pins, `tm-bench`'s `work_counts` test, run
+#    with the workspace tests in stage 2.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,27 +79,14 @@ cargo test -q --offline --workspace
 echo "== prime-generation differential (every Table 2 node table) =="
 cargo test --release --offline -p tm-logic -- --ignored
 
-echo "== telemetry smoke bench + schema validation =="
-metrics_json=target/tm-bench/ci-spcf-metrics.json
+echo "== table1 telemetry smoke + schema validation =="
+metrics_json=target/tm-bench/ci-table1-metrics.json
 rm -f "$metrics_json"
-cargo bench -q --offline -p tm-bench --bench spcf_algorithms -- \
-    --samples 1 --smoke --metrics-out "$metrics_json"
-test -s "$metrics_json" || { echo "ERROR: bench wrote no metrics snapshot" >&2; exit 1; }
+TM_METRICS_OUT="$metrics_json" ./target/release/table1 > /dev/null
+test -s "$metrics_json" || { echo "ERROR: table1 wrote no metrics snapshot" >&2; exit 1; }
 cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
-    --require-nonzero spcf.short_path.output_ns "$metrics_json"
-
-echo "== BDD micro-bench smoke + cache-stats sanity =="
-# The bdd_ops kernels exercise the hot core directly; any SPCF workload
-# must hit the ITE computed cache, so a snapshot with zero
-# `bdd.cache.hits` means the cache or its instrumentation regressed.
-bdd_metrics_json=target/tm-bench/ci-bdd-metrics.json
-rm -f "$bdd_metrics_json"
-cargo bench -q --offline -p tm-bench --bench bdd_ops -- \
-    --samples 1 --metrics-out "$bdd_metrics_json"
-test -s "$bdd_metrics_json" || { echo "ERROR: bdd_ops wrote no metrics snapshot" >&2; exit 1; }
-cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
-    --require-nonzero bdd.cache.hits --require-nonzero bdd.unique.hits \
-    "$bdd_metrics_json" "$metrics_json"
+    --require-nonzero spcf.short_path.output_ns --require-nonzero bdd.cache.hits \
+    --require-nonzero bdd.unique.hits "$metrics_json"
 
 echo "== panic audit (non-test library code) =="
 audit=$(mktemp)
@@ -287,44 +272,8 @@ cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
 ./target/release/fleet --check-report "$fleet_smoke_json"
 ./target/release/fleet --check-report BENCH_fleet.json
 
-echo "== dormant-overhead guard (bdd_ops medians, +2%, TM_FAULTS unset) =="
-# The recorder's `recording()` gate, the fault plane's `armed()` check,
-# and the capacity tier's per-mk bookkeeping (exempt-mode branch,
-# live-entry counter, identity-order fast path) all ride the BDD hot
-# core; dormant — no faults armed, no reorder ever triggered — they
-# must stay free. Wall-clock medians are noisy, so a failing comparison
-# retries before it is believed.
-unset TM_FAULTS TM_FAULTS_SEED
-guard_ok=0
-for attempt in 1 2 3; do
-    cargo bench -q --offline -p tm-bench --bench bdd_ops -- --smoke > /dev/null
-    if cargo run -q --offline --release -p tm-bench --bin bench_guard -- \
-        --fresh target/tm-bench/bdd_ops.json --baseline BENCH_bdd.json \
-        --tolerance-pct 2; then
-        guard_ok=1
-        break
-    fi
-    echo "overhead-guard attempt $attempt over tolerance; retrying"
-done
-[ "$guard_ok" -eq 1 ] || { echo "ERROR: dormant tracing overhead exceeds 2%" >&2; exit 1; }
-
-echo "== dormant-overhead guard (sim_kernels medians, +5%) =="
-# The packed kernel added bookkeeping to tm_sim (compiled reader
-# schedules, mask-carrying events, packed counters); the scalar
-# event loop must not pay for machinery it never calls. The baseline
-# is a noise envelope (meta.envelope: 1) and ms-scale lifetime runs
-# are still jittery, so a failing comparison retries here too.
-sim_guard_ok=0
-for attempt in 1 2 3; do
-    cargo bench -q --offline -p tm-bench --bench sim_kernels -- --smoke > /dev/null
-    if cargo run -q --offline --release -p tm-bench --bin bench_guard -- \
-        --fresh target/tm-bench/sim_kernels.json --baseline BENCH_sim.json \
-        --tolerance-pct 5; then
-        sim_guard_ok=1
-        break
-    fi
-    echo "sim-kernel-guard attempt $attempt over tolerance; retrying"
-done
-[ "$sim_guard_ok" -eq 1 ] || { echo "ERROR: scalar sim path regressed past 5%" >&2; exit 1; }
+echo "== dormant-site check (paired in-process A/B, release) =="
+unset TM_TRACE TM_FAULTS TM_FAULTS_SEED
+cargo test --release --offline -p tm-bench --test dormant_sites -- --ignored --nocapture
 
 echo "CI OK"
