@@ -40,12 +40,40 @@
 //!
 //! Everything that does not depend on the vectors is compiled once per
 //! `(netlist, scale)` in [`PackedTimingSim::with_scale`]: per-net
-//! reader lists with pre-multiplied pin delays, per-gate on-set
-//! minterm plans (the SOP evaluation loop of
-//! [`crate::func::simulate_block`] without the per-call truth-table
-//! scan), the output-position table, and the levelized settle pass
+//! reader lists with pre-multiplied pin delays, per-gate polarity
+//! plans, the output-position table, and the levelized settle pass
 //! that seeds each block's initial arrival/settle words. Per block,
 //! only lanes that actually change generate events.
+//!
+//! # The event loop
+//!
+//! - **Event keys and the arena.** The heap holds one `u128` per
+//!   event: the quantized time with its sign bit flipped in the high
+//!   half (so unsigned order equals signed time order) and the
+//!   sequence number in the low half. Integer order on the key is
+//!   exactly `(quantized time, seq)`. The payload `(net, word, mask)`
+//!   lives in a per-call arena indexed by `seq`, so each heap sift
+//!   step moves 16 bytes.
+//! - **Polarity plans.** Each gate is compiled from the smaller of its
+//!   on-set and off-set minterm lists plus an output-inversion word
+//!   (off-set plans evaluate the complement, then flip it). Literals
+//!   are selected without branches: `w ^ (bit - 1)` is `w` for a
+//!   positive literal and `!w` for a negative one. NAND4 is one
+//!   off-set term instead of fifteen on-set terms.
+//! - **Push-time supersession.** A gate whose pins all share one
+//!   (scaled) delay emits output events whose fire times are monotone
+//!   in their push times, and equal fire times pop in `seq` (= push)
+//!   order: its output events pop **in push order**. For such a gate
+//!   the kernel keeps a `projected` word on its output net — the value
+//!   the net holds once every pending event has popped — and an event
+//!   claims only the lanes where it differs from `projected`; an event
+//!   that differs in no lane is never pushed. This is exact because, in
+//!   push order, a dropped lane would find the net already at its value
+//!   when it popped and would change nothing. Gates with skewed pin
+//!   delays can pop their output events out of push order (a late push
+//!   through a fast pin overtakes an early push through a slow one), so
+//!   they keep the unfiltered push. The pop-time `changed == 0` check
+//!   stays for every gate.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,17 +91,73 @@ const MAX_EVENTS: usize = 50_000_000;
 /// by one quantization step.
 const SAMPLING_GUARD: Delay = Delay::from_units_const(1e-3);
 
-/// One gate reading a net: where its output lands and after how long.
+/// Flipping the sign bit maps `i64` order onto `u64` order.
+const TIME_SIGN: u64 = 1 << 63;
+
+/// The heap key of an event: `(quantized time, seq)` as one integer.
+#[inline]
+fn event_key(qt: i64, seq: usize) -> u128 {
+    (u128::from(qt as u64 ^ TIME_SIGN) << 64) | seq as u128
+}
+
+/// The quantized time and arena index of an event key.
+#[inline]
+fn split_key(key: u128) -> (i64, usize) {
+    (((key >> 64) as u64 ^ TIME_SIGN) as i64, key as u64 as usize)
+}
+
+/// An event's payload: the net it drives, the new word, and the lanes
+/// it claims.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    net: u32,
+    word: u64,
+    mask: u64,
+}
+
+/// One gate reading a net: which gate re-evaluates and after how long
+/// its output event fires.
 #[derive(Clone, Copy, Debug)]
 struct PackedReader {
-    /// Gate index (into the compiled gate tables).
+    /// Gate index (into [`PackedTimingSim::gates`]).
     gate: u32,
-    /// Output net index of that gate.
-    out_net: u32,
     /// Pre-multiplied pin delay (`cell.pin_delay(pin) * scale[gate]`);
     /// kept as a [`Delay`] so the fire-time float math matches the
     /// scalar simulator exactly.
     delay: Delay,
+}
+
+/// One gate's compiled evaluation plan.
+#[derive(Clone, Debug)]
+struct GatePlan {
+    /// Input net indices, in pin order.
+    inputs: Vec<u32>,
+    /// The smaller of the cell's on-set and off-set minterm lists.
+    terms: Vec<u64>,
+    /// `u64::MAX` when `terms` is the off-set (the SOP evaluates the
+    /// complement), else 0.
+    invert: u64,
+    /// Output net index.
+    out: u32,
+    /// Every pin has the same scaled delay, so the gate's output
+    /// events pop in push order and push-time supersession is exact.
+    fifo: bool,
+}
+
+impl GatePlan {
+    /// Evaluates the gate's output word from the current net words.
+    #[inline]
+    fn eval(&self, values: &[u64]) -> u64 {
+        let mut out = 0u64;
+        for &m in self.terms.iter() {
+            let mut term = u64::MAX;
+            for (pin, &inp) in self.inputs.iter().enumerate() {
+                term &= values[inp as usize] ^ ((m >> pin) & 1).wrapping_sub(1);
+            }
+            out |= term;
+        }
+        out ^ self.invert
+    }
 }
 
 /// Result of simulating one block of up to 64 input transitions.
@@ -133,13 +217,8 @@ pub struct PackedTimingSim<'a> {
     netlist: &'a Netlist,
     /// Per net: compiled reader list.
     readers: Vec<Vec<PackedReader>>,
-    /// Per gate: input net indices, in pin order.
-    gate_inputs: Vec<Vec<u32>>,
-    /// Per gate: the cell's on-set minterms (SOP evaluation plan).
-    gate_onset: Vec<Vec<u64>>,
-    /// Per gate: output net index (levelized settle-pass order =
-    /// topological gate order).
-    gate_out: Vec<u32>,
+    /// Per gate, in topological order (= the levelized settle pass).
+    gates: Vec<GatePlan>,
     /// Per net: primary-output position, if the net is an output.
     out_pos: Vec<Option<u32>>,
 }
@@ -162,52 +241,43 @@ impl<'a> PackedTimingSim<'a> {
         assert!(scale.iter().all(|s| s.is_finite() && *s > 0.0), "bad scale factor");
         let lib = netlist.library();
         let mut readers: Vec<Vec<PackedReader>> = vec![Vec::new(); netlist.num_nets()];
-        let mut gate_inputs = Vec::with_capacity(netlist.num_gates());
-        let mut gate_onset = Vec::with_capacity(netlist.num_gates());
-        let mut gate_out = Vec::with_capacity(netlist.num_gates());
+        let mut gates = Vec::with_capacity(netlist.num_gates());
         for (gid, g) in netlist.gates() {
             let cell = lib.cell(g.cell());
             let f = cell.function();
-            let ins: Vec<u32> = g.inputs().iter().map(|i| i.index() as u32).collect();
-            let onset: Vec<u64> = (0..(1u64 << ins.len())).filter(|&m| f.eval(m)).collect();
+            let minterms = 1u64 << g.inputs().len();
+            let onset: Vec<u64> = (0..minterms).filter(|&m| f.eval(m)).collect();
+            // Off-set plan when it is strictly smaller.
+            let inverted = 2 * onset.len() as u64 > minterms;
+            let terms =
+                if inverted { (0..minterms).filter(|&m| !f.eval(m)).collect() } else { onset };
             for (pin, &inp) in g.inputs().iter().enumerate() {
                 readers[inp.index()].push(PackedReader {
                     gate: gid.index() as u32,
-                    out_net: g.output().index() as u32,
                     delay: cell.pin_delay(pin) * scale[gid.index()],
                 });
             }
-            gate_inputs.push(ins);
-            gate_onset.push(onset);
-            gate_out.push(g.output().index() as u32);
+            // Equal library pin delays stay equal under one per-gate
+            // scale factor.
+            let fifo = (1..g.inputs().len()).all(|pin| cell.pin_delay(pin) == cell.pin_delay(0));
+            gates.push(GatePlan {
+                inputs: g.inputs().iter().map(|i| i.index() as u32).collect(),
+                terms,
+                invert: if inverted { u64::MAX } else { 0 },
+                out: g.output().index() as u32,
+                fifo,
+            });
         }
         let mut out_pos = vec![None; netlist.num_nets()];
         for (pos, &o) in netlist.outputs().iter().enumerate() {
             out_pos[o.index()] = Some(pos as u32);
         }
-        PackedTimingSim { netlist, readers, gate_inputs, gate_onset, gate_out, out_pos }
+        PackedTimingSim { netlist, readers, gates, out_pos }
     }
 
     /// The compiled netlist.
     pub fn netlist(&self) -> &'a Netlist {
         self.netlist
-    }
-
-    /// Evaluates one gate's output word from the current net words
-    /// (the on-set SOP plan of `simulate_block`, compiled).
-    #[inline]
-    fn eval_gate(&self, gate: usize, values: &[u64]) -> u64 {
-        let ins = &self.gate_inputs[gate];
-        let mut out = 0u64;
-        for &m in &self.gate_onset[gate] {
-            let mut term = u64::MAX;
-            for (pin, &inp) in ins.iter().enumerate() {
-                let w = values[inp as usize];
-                term &= if (m >> pin) & 1 == 1 { w } else { !w };
-            }
-            out |= term;
-        }
-        out
     }
 
     /// The levelized settle pass: one word per net, functional
@@ -217,8 +287,8 @@ impl<'a> PackedTimingSim<'a> {
         for (pos, &net) in self.netlist.inputs().iter().enumerate() {
             values[net.index()] = block.words()[pos];
         }
-        for g in 0..self.gate_out.len() {
-            values[self.gate_out[g] as usize] = self.eval_gate(g, &values);
+        for g in &self.gates {
+            values[g.out as usize] = g.eval(&values);
         }
         values
     }
@@ -253,24 +323,28 @@ impl<'a> PackedTimingSim<'a> {
         let mut values = self.eval_block(prev);
         let mut sampled: Vec<u64> =
             outputs.iter().map(|&o| values[o.index()] & lane_mask).collect();
+        // Per net: the word once every pending event has popped (read
+        // and written only on the outputs of FIFO gates).
+        let mut projected = values.clone();
 
-        // Event heap: (quantized time, sequence, net, new word, lane
-        // mask). Sequence is unique, so word/mask never order.
-        let mut heap: BinaryHeap<Reverse<(i64, u64, u32, u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        // Min-heap of event keys; `arena[seq]` holds each payload.
+        let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
+        let mut arena: Vec<Event> = Vec::new();
         for (pos, &net) in self.netlist.inputs().iter().enumerate() {
             let p = prev.words()[pos] & lane_mask;
             let n = next.words()[pos] & lane_mask;
             if p != n {
-                heap.push(Reverse((0, seq, net.index() as u32, n, p ^ n)));
-                seq += 1;
+                heap.push(Reverse(event_key(0, arena.len())));
+                arena.push(Event { net: net.index() as u32, word: n, mask: p ^ n });
             }
         }
 
         let mut events = 0usize;
-        while let Some(Reverse((qt, _, net, word, mask))) = heap.pop() {
+        while let Some(Reverse(key)) = heap.pop() {
             events += 1;
             assert!(events <= MAX_EVENTS, "event budget exhausted; netlist cyclic?");
+            let (qt, seq) = split_key(key);
+            let Event { net, word, mask } = arena[seq];
             let net_idx = net as usize;
             let changed = (values[net_idx] ^ word) & mask;
             if changed == 0 {
@@ -288,10 +362,22 @@ impl<'a> PackedTimingSim<'a> {
                 }
             }
             for r in &self.readers[net_idx] {
-                let out_w = self.eval_gate(r.gate as usize, &values);
-                let fire = t + r.delay;
-                heap.push(Reverse((fire.quantize(), seq, r.out_net, out_w, changed)));
-                seq += 1;
+                let g = &self.gates[r.gate as usize];
+                let out_w = g.eval(&values);
+                let mut claim = changed;
+                if g.fifo {
+                    // Lanes where the net already ends at `out_w` would
+                    // pop as no-ops; drop them at push time.
+                    let p = &mut projected[g.out as usize];
+                    claim &= *p ^ out_w;
+                    if claim == 0 {
+                        continue;
+                    }
+                    *p ^= claim;
+                }
+                let fire = (t + r.delay).quantize();
+                heap.push(Reverse(event_key(fire, arena.len())));
+                arena.push(Event { net: g.out, word: out_w, mask: claim });
             }
         }
 
@@ -452,6 +538,40 @@ mod tests {
         let r = sim.transition_block(&v, &v, &[Delay::ZERO]);
         assert_eq!(r.errors()[0], 0);
         assert_eq!(r.lanes, 8);
+    }
+
+    #[test]
+    fn plans_take_the_smaller_polarity_and_flag_fifo_gates() {
+        use tm_netlist::library::{Cell, Library};
+        let base = lsi10k_like();
+        let mut lib = Library::new("plans");
+        let nand4 = lib.add(base.cell(base.expect("NAND4")).clone());
+        let xor2 = lib.add(base.cell(base.expect("XOR2")).clone());
+        let and2 = base.cell(base.expect("AND2"));
+        let skewed = lib.add(Cell::new(
+            "AND2_SKEW",
+            and2.function().clone(),
+            and2.area(),
+            and2.switch_power(),
+            vec![Delay::new(2.0), Delay::new(2.5)],
+        ));
+        let mut nl = Netlist::new("plans", Arc::new(lib));
+        let ins: Vec<_> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let a = nl.add_gate(nand4, &ins, "a");
+        let b = nl.add_gate(xor2, &ins[..2], "b");
+        let c = nl.add_gate(skewed, &[a, b], "c");
+        nl.mark_output(c);
+        let sim = PackedTimingSim::new(&nl);
+        let shape: Vec<(usize, u64, bool)> =
+            sim.gates.iter().map(|g| (g.terms.len(), g.invert, g.fifo)).collect();
+        assert_eq!(shape, [(1, u64::MAX, true), (2, 0, true), (1, 0, false)]);
+        // Same-valued pins under a per-gate scale stay FIFO.
+        let scaled = PackedTimingSim::with_scale(&nl, &[1.3, 0.7, 1.1]);
+        assert!(scaled.gates[0].fifo && !scaled.gates[2].fifo);
+        let mut rng = Rng::seed_from_u64(0x9A7);
+        let prev = random_block(4, 64, &mut rng);
+        let next = random_block(4, 64, &mut rng);
+        assert_matches_scalar(&nl, &[1.3, 0.7, 1.1], &prev, &next, &[Delay::new(4.0)]);
     }
 
     #[test]

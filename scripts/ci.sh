@@ -43,7 +43,12 @@
 # 11. Fleet smoke (DESIGN.md §15): a small sharded lifetime run whose
 #    metrics snapshot must carry the fleet counters, plus a schema check
 #    of the fresh report and of the committed BENCH_fleet.json.
-# 12. Dormant-site check: the release `dormant_sites` test times every
+# 12. Packed-kernel sweep: the release-only `tm-sim` differential
+#    replays hundreds of generated netlists, up to the `cmb`/`cu`
+#    stand-in sizes, through the packed and scalar timing kernels with
+#    uniform and with skewed per-pin delays, and requires bit-identical
+#    sampled and settled words in every lane.
+# 13. Dormant-site check: the release `dormant_sites` test times every
 #    dormant instrumentation entry point that hot code calls (telemetry
 #    counters, digests and spans, flight-recorder phases, fault-plane
 #    hooks) against an empty loop in paired, interleaved blocks, and
@@ -271,6 +276,9 @@ cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
     --require-nonzero sim.packed.blocks "$fleet_metrics_json"
 ./target/release/fleet --check-report "$fleet_smoke_json"
 ./target/release/fleet --check-report BENCH_fleet.json
+
+echo "== packed-kernel sweep (uniform + skewed pin delays, release) =="
+cargo test --release --offline -p tm-sim --test packed_differential -- --ignored
 
 echo "== dormant-site check (paired in-process A/B, release) =="
 unset TM_TRACE TM_FAULTS TM_FAULTS_SEED
