@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 use tm_logic::Bdd;
 use tm_netlist::{NetId, Netlist};
-use tm_spcf::short_path_spcf;
+use tm_spcf::{spcf_with, Algorithm};
 use tm_sta::Sta;
 
 /// The top-down duplication baseline: copy the critical cones, predict
@@ -45,7 +45,7 @@ pub fn duplication_masking(netlist: &Netlist, options: MaskingOptions) -> Maskin
     let target = delta * options.target_fraction;
 
     let mut bdd = Bdd::new(netlist.inputs().len().max(1));
-    let spcf = short_path_spcf(netlist, &sta, &mut bdd, target);
+    let spcf = spcf_with(Algorithm::ShortPath, netlist, &sta, &mut bdd, target);
     let zero = bdd.zero();
     let protected: Vec<NetId> = spcf
         .outputs

@@ -32,8 +32,7 @@ use tm_netlist::extract::extract;
 use tm_netlist::map::tech_map;
 use tm_netlist::sop_network::{SigId, SigKind, SopNetwork};
 use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::Budget;
-use tm_spcf::{try_spcf_with, Algorithm, SpcfSet, WarmSession};
+use tm_spcf::{Algorithm, SpcfSet, WarmSession};
 use tm_sta::Sta;
 
 /// How far the SPCF engine ladder had to degrade to fit the
@@ -74,48 +73,6 @@ impl From<Algorithm> for DegradationLevel {
             Algorithm::NodeBased => DegradationLevel::NodeBased,
             Algorithm::Conservative => DegradationLevel::Conservative,
         }
-    }
-}
-
-/// Runs the SPCF engine ladder from the exact short-path engine down
-/// [`Algorithm::fallback`] (node-based over-approximation, then
-/// guard-everything), stepping down only when the budget is exhausted.
-/// Each rung starts from a fresh BDD manager so a blown-up rung leaves
-/// no memory behind.
-fn spcf_ladder(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    target: Delay,
-    budget: Budget,
-) -> (Bdd, SpcfSet, DegradationLevel) {
-    let num_vars = netlist.inputs().len().max(1);
-    let mut algorithm = Algorithm::ShortPath;
-    loop {
-        // The guard-everything floor does no budgeted work; run it
-        // unlimited.
-        let rung_budget = match algorithm.fallback() {
-            Some(_) => budget,
-            None => Budget::unlimited(),
-        };
-        let mut bdd = Bdd::new(num_vars);
-        let e = match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, rung_budget) {
-            Ok(spcf) => return (bdd, spcf, algorithm.into()),
-            Err(e) => e,
-        };
-        let next = algorithm
-            .fallback()
-            .expect("the guard-everything engine performs no budgeted work");
-        tm_telemetry::counter_add(
-            match next {
-                Algorithm::NodeBased => "resilience.fallback.node_based",
-                _ => "resilience.fallback.conservative",
-            },
-            1,
-        );
-        if tm_telemetry::trace_level() >= 2 {
-            eprintln!("[synth] {algorithm} SPCF: {e}; falling back to {next}");
-        }
-        algorithm = next;
     }
 }
 
@@ -167,12 +124,17 @@ pub fn synthesize(netlist: &Netlist, options: MaskingOptions) -> MaskingResult {
     let delta = sta.critical_path_delay();
     let target = delta * options.target_fraction;
 
-    let (mut bdd, spcf, degradation) = {
+    // A fresh manager and the degradation ladder: the exact short-path
+    // SPCF, or the first coarser rung that fits the budget (DESIGN.md §7).
+    let (mut bdd, spcf) = {
         let _s = tm_telemetry::span!("masking.spcf");
-        spcf_ladder(netlist, &sta, target, options.budget)
+        let mut bdd = Bdd::new(netlist.inputs().len().max(1));
+        let spcf = WarmSession::new(Algorithm::ShortPath, netlist, &sta, &mut bdd, options.budget)
+            .retarget(target);
+        (bdd, spcf)
     };
     let (design, report) =
-        synthesize_from_spcf(netlist, &mut bdd, &spcf, delta, target, degradation, &options, start);
+        synthesize_from_spcf(netlist, &mut bdd, &spcf, delta, target, &options, start);
     bdd.publish_metrics();
     MaskingResult { design, bdd, spcf, report }
 }
@@ -206,10 +168,14 @@ pub struct SweepPoint {
 /// cached. Points are returned in that evaluation order, tagged with
 /// their fraction.
 ///
-/// A point whose warm computation exhausts the budget falls back to
-/// the cold per-point ladder of [`synthesize`] (fresh manager per
-/// rung), so degraded points cost what they
-/// always did and warm points are pure win.
+/// A point whose exact SPCF exhausts the budget steps down the same
+/// degradation ladder as [`synthesize`], on the warm session. A rung is
+/// given up only when a fresh engine of it exhausts, so under a memo
+/// budget each point lands on the rung — and yields the report — of a
+/// cold [`synthesize`] at its fraction. Node and step budgets charge
+/// the shared manager, whose warm contents can move a point off the
+/// cold rung (cached operations cost no steps; rooted functions of
+/// earlier points hold nodes).
 ///
 /// # Panics
 ///
@@ -234,37 +200,11 @@ pub fn synthesize_sweep(
     for frac in ladder {
         let start = Instant::now();
         let target = delta * frac;
-        let point = match session.try_retarget(target) {
-            Ok(spcf) => {
-                let mean_spcf_fraction = mean_spcf_fraction(session.bdd(), &spcf);
-                let (design, report) = synthesize_from_spcf(
-                    netlist,
-                    session.bdd_mut(),
-                    &spcf,
-                    delta,
-                    target,
-                    DegradationLevel::Exact,
-                    options,
-                    start,
-                );
-                SweepPoint { fraction: frac, design, report, mean_spcf_fraction }
-            }
-            Err(e) => {
-                if tm_telemetry::trace_level() >= 2 {
-                    eprintln!("[sweep] warm short-path SPCF at {frac}: {e}; cold ladder");
-                }
-                let r =
-                    synthesize(netlist, MaskingOptions { target_fraction: frac, ..*options });
-                let mean_spcf_fraction = mean_spcf_fraction(&r.bdd, &r.spcf);
-                SweepPoint {
-                    fraction: frac,
-                    design: r.design,
-                    report: r.report,
-                    mean_spcf_fraction,
-                }
-            }
-        };
-        points.push(point);
+        let spcf = session.retarget(target);
+        let mean_spcf_fraction = mean_spcf_fraction(session.bdd(), &spcf);
+        let (design, report) =
+            synthesize_from_spcf(netlist, session.bdd_mut(), &spcf, delta, target, options, start);
+        points.push(SweepPoint { fraction: frac, design, report, mean_spcf_fraction });
     }
     drop(session);
     bdd.publish_metrics();
@@ -282,20 +222,20 @@ fn mean_spcf_fraction(bdd: &Bdd, spcf: &SpcfSet) -> f64 {
 
 /// The synthesis flow from a computed SPCF set onward: cover
 /// selection, masking-network assembly, mapping, slack enforcement,
-/// and measurement. Factored out so [`synthesize`] (cold per-call
-/// ladder) and [`synthesize_sweep`] (one warm SPCF session across a
-/// descending `Δ_y` ladder) share it exactly.
-#[allow(clippy::too_many_arguments)]
+/// and measurement. Factored out so [`synthesize`] (fresh manager)
+/// and [`synthesize_sweep`] (one warm SPCF session across a
+/// descending `Δ_y` ladder) share it exactly. The degradation level is
+/// the rung `spcf` landed on.
 fn synthesize_from_spcf(
     netlist: &Netlist,
     bdd: &mut Bdd,
     spcf: &SpcfSet,
     delta: Delay,
     target: Delay,
-    degradation: DegradationLevel,
     options: &MaskingOptions,
     start: Instant,
 ) -> (MaskedDesign, MaskingReport) {
+    let degradation = DegradationLevel::from(spcf.algorithm);
     // Progress eprintln's are the verbose tier: structured spans and
     // counters cover TM_TRACE=1, the log lines only appear at 2.
     let trace = tm_telemetry::trace_level() >= 2;

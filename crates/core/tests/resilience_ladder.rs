@@ -57,7 +57,7 @@ fn memo_budget_degrades_to_node_based_and_still_verifies() {
     // the exact one, so every true activation pattern is covered.
     let sta = Sta::new(&nl);
     let target = sta.critical_path_delay() * 0.9;
-    let exact = tm_spcf::short_path_spcf(&nl, &sta, &mut r.bdd, target);
+    let exact = tm_spcf::spcf_with(tm_spcf::Algorithm::ShortPath, &nl, &sta, &mut r.bdd, target);
     for o in &exact.outputs {
         let sup = r.spcf.spcf_of(o.output).expect("critical output present in fallback SPCF");
         assert!(r.bdd.is_subset(o.spcf, sup), "fallback SPCF must contain the exact SPCF");

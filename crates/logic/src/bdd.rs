@@ -133,8 +133,8 @@ struct QuantEntry {
 ///
 /// A deterministic [`Budget`] can be installed with [`Bdd::set_budget`];
 /// the manager then checks its node count against `max_bdd_nodes` on
-/// every allocation and its recursion-step counter against `max_steps`
-/// on every cache miss. The `try_*` operation variants surface
+/// every allocation and the recursion steps taken since the budget was
+/// installed against `max_steps` on every cache miss. The `try_*` operation variants surface
 /// exhaustion as a typed [`Exhausted`] error; the plain operations are
 /// unchanged under the default unlimited budget and *panic* if a finite
 /// budget runs out mid-call (budgeted callers must use `try_*`).
@@ -197,6 +197,9 @@ pub struct Bdd {
     budget: Budget,
     /// Budgeted recursion steps taken (ITE and quantifier cache misses).
     steps: u64,
+    /// `steps` when the budget was installed: `max_steps` charges only
+    /// the steps taken since.
+    steps_at_budget: u64,
     /// When set, `mk` skips budget charging and fault injection: used
     /// only by internal store rebuilds (reorder commit, export
     /// normalization) whose node population is bounded by an already
@@ -283,17 +286,21 @@ impl Bdd {
             published: BddStats::default(),
             budget: Budget::unlimited(),
             steps: 0,
+            steps_at_budget: 0,
             exempt: false,
             reorder_baseline: 1,
         }
     }
 
-    /// Installs a computation budget. Limits apply to the manager's
-    /// *lifetime* counters: nodes already allocated count against
-    /// `max_bdd_nodes` and steps already taken against `max_steps`, so
-    /// budgeted phases normally start from a fresh manager.
+    /// Installs a computation budget. `max_steps` charges the steps
+    /// taken from this call on, so every budgeted phase gets its full
+    /// step allowance however much work the manager did before.
+    /// `max_bdd_nodes` charges the manager's current size: nodes
+    /// already allocated count against it, until a [`Bdd::gc`]
+    /// reclaims the dead ones.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
+        self.steps_at_budget = self.steps;
     }
 
     /// The installed budget (unlimited by default).
@@ -306,8 +313,9 @@ impl Bdd {
         self.budget = Budget::unlimited();
     }
 
-    /// Budgeted recursion steps taken so far (cache misses in apply and
-    /// quantification).
+    /// Budgeted recursion steps taken over the manager's lifetime
+    /// (cache misses in apply and quantification); the step budget
+    /// charges only those since [`Bdd::set_budget`].
     pub fn steps_taken(&self) -> u64 {
         self.steps
     }
@@ -321,7 +329,7 @@ impl Bdd {
 
     /// Charges one recursion step against the budget.
     fn charge_step(&mut self) -> Result<(), Exhausted> {
-        self.budget.check_steps(self.steps)?;
+        self.budget.check_steps(self.steps - self.steps_at_budget)?;
         self.steps += 1;
         Ok(())
     }
@@ -2127,6 +2135,21 @@ mod tests {
         assert!(b.budget().is_unlimited());
         let f = b.try_or_all(lits).expect("unlimited again");
         assert_eq!(b.sat_count(f), 1023.0);
+    }
+
+    #[test]
+    fn step_budget_charges_steps_since_installation() {
+        let mut b = Bdd::new(10);
+        let lits: Vec<BddRef> = (0..10).map(|i| b.var(i)).collect();
+        let f = b.or_all(lits[..5].to_vec());
+        let before = b.steps_taken();
+        assert!(before > 0, "vacuous fixture: no steps before the budget");
+        // An allowance the earlier steps already exceed still admits
+        // fresh work: only steps taken after `set_budget` count.
+        b.set_budget(Budget::unlimited().with_max_steps(before));
+        let g = b.try_or(f, lits[5]).expect("the earlier steps are not charged");
+        assert!(b.steps_taken() > before, "the op took budgeted steps");
+        assert_eq!(b.sat_count(g), 1024.0 - 2f64.powi(4));
     }
 
     #[test]

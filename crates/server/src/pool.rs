@@ -26,7 +26,7 @@ use tm_netlist::library::Library;
 use tm_netlist::map::{tech_map, MapOptions};
 use tm_netlist::sop_network::SopNetwork;
 use tm_netlist::{Delay, Netlist};
-use tm_resilience::{Budget, Exhausted, TmError};
+use tm_resilience::{Budget, TmError};
 use tm_spcf::{Algorithm, SpcfSet, WarmState};
 use tm_sta::Sta;
 
@@ -97,7 +97,7 @@ impl PooledSession {
         self.state.memo_entries()
     }
 
-    /// Requests served by this session.
+    /// Ladder points served by this session.
     pub fn computes(&self) -> u64 {
         self.state.points()
     }
@@ -118,20 +118,23 @@ impl PooledSession {
         }
     }
 
-    /// Evaluates the SPCF of every output critical at `target` under
-    /// `budget` — one [`WarmState::try_point`], with its ascending-step
-    /// engine rebuild, empty-slot panic safety and node-budget recovery.
-    /// `sta` must be built over this session's [`PooledSession::netlist`];
-    /// one STA serves every point of a request.
+    /// Evaluates the SPCF of every output critical at `target`, starting
+    /// at `algorithm` and stepping down the degradation ladder when a
+    /// rung exhausts `budget` — one [`WarmState::point_with_fallback`],
+    /// with its ascending-step engine rebuild, empty-slot panic safety
+    /// and fresh-engine/GC retries. The set's `algorithm` names the rung
+    /// that answered. `sta` must be built over this session's
+    /// [`PooledSession::netlist`]; one STA serves every point of a
+    /// request.
     pub fn compute(
         &mut self,
         algorithm: Algorithm,
         sta: &Sta<'_>,
         target: Delay,
         budget: Budget,
-    ) -> Result<SpcfSet, Exhausted> {
+    ) -> SpcfSet {
         debug_assert!(std::ptr::eq(sta.netlist(), &*self.netlist), "STA of another netlist");
-        self.state.try_point(algorithm, sta, &mut self.bdd, target, budget)
+        self.state.point_with_fallback(algorithm, sta, &mut self.bdd, target, budget)
     }
 }
 
@@ -358,12 +361,12 @@ mod tests {
         let sta = Sta::new(&netlist);
         let target = sta.critical_path_delay() * 0.8;
         let set1 =
-            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited()).expect("compute");
+            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited());
         let export1: Vec<_> = set1.outputs.iter().map(|o| s.bdd().export(o.spcf)).collect();
         // Watermark of 1 node always fires: GC + possible reorder.
         s.maybe_gc(1);
         let set2 =
-            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited()).expect("recompute");
+            s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited());
         let export2: Vec<_> = set2.outputs.iter().map(|o| s.bdd().export(o.spcf)).collect();
         assert_eq!(export1, export2, "GC must not change served SPCFs");
         assert_eq!(s.computes(), 2);

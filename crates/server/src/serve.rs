@@ -10,22 +10,29 @@
 //!
 //! # The degradation ladder as load-shedding
 //!
-//! A request's engine rung is the *cheaper* of what the client asked
+//! A request's starting rung is the *cheaper* of what the client asked
 //! for and what the current load allows: moderate occupancy forces
-//! node-based, heavy occupancy forces conservative, and a full
-//! admission gate rejects at accept time (`crate::net`). Within a
-//! request, a budget-exhausted rung falls to the next cheaper one; a
-//! request that exhausts even the conservative rung is rejected with a
-//! typed `exhausted` error and counted as shed. Nothing in the ladder
-//! blocks or panics.
+//! node-based, heavy occupancy forces conservative (each load-forced
+//! step counted under `serve.degrade.*`), and a full admission gate
+//! rejects at accept time (`crate::net`). Each point then runs on the
+//! one tm-spcf degradation ladder
+//! ([`tm_spcf::WarmState::point_with_fallback`]): a budget-exhausted
+//! rung falls to the next cheaper one (`resilience.fallback.*`), down
+//! to the guard-everything floor, which runs unbudgeted and always
+//! answers. Nothing in the ladder blocks, panics or rejects.
 //!
 //! # Determinism and panic recovery
 //!
 //! Report frames carry no wall-clock fields (latency goes to the
-//! `serve.request_ns` digest instead), so a request's frames are a
-//! pure function of (circuit, algorithm, ladder) — the
-//! concurrent-determinism suite compares them byte-for-byte against a
-//! serial [`tm_spcf::EngineSession`] run. Identical concurrent requests
+//! `serve.request_ns` digest instead), so under an unlimited budget a
+//! request's frames are a pure function of (circuit, algorithm,
+//! ladder) — the concurrent-determinism suite compares them
+//! byte-for-byte against a serial [`tm_spcf::WarmSession`] run. Under a
+//! finite budget a rung is given up only when a fresh engine of it
+//! exhausts, so a memo limit lands every point where a fresh core
+//! would; node and step limits charge the session's shared manager,
+//! and since cached operations cost no steps, a warm session can land
+//! on a *finer* rung than a fresh one. Identical concurrent requests
 //! serialize on their pooled session's mutex, each running its own
 //! ladder on the warm session. A computation that panics leaves its
 //! engine slot empty and the session mutex poisoned; the next request
@@ -336,7 +343,8 @@ impl ServeCore {
         let sta = Sta::new(&netlist);
 
         // Load rung: the cheaper of the request and what occupancy
-        // allows right now.
+        // allows right now. Budget exhaustion steps further down inside
+        // `compute`, on the one tm-spcf ladder.
         let inflight = self.gate.in_flight();
         let algorithm = if inflight > self.config.degrade_conservative_at {
             degrade_to(requested, Algorithm::Conservative)
@@ -350,34 +358,12 @@ impl ServeCore {
         let mut frames = Vec::with_capacity(targets.len() + 1);
         for (seq, &raw) in targets.iter().enumerate() {
             let target = if relative { delta * raw } else { Delay::new(raw) };
-            let mut rung = algorithm;
-            let outcome = {
+            let set = {
                 let _phase = flight::phase_with("serve.compute", &[("seq", seq as f64)]);
-                loop {
-                    match session.compute(rung, &sta, target, self.config.budget) {
-                        Ok(set) => break Ok(set),
-                        Err(e) => match rung.fallback() {
-                            Some(next) => rung = degrade_to(rung, next),
-                            None => break Err(e),
-                        },
-                    }
-                }
+                session.compute(algorithm, &sta, target, self.config.budget)
             };
-            match outcome {
-                Ok(set) => {
-                    let _phase = flight::phase_with("serve.serialize", &[("seq", seq as f64)]);
-                    frames.push(spcf_report_frame(session.netlist(), session.bdd(), &set, seq))
-                }
-                Err(e) => {
-                    // Even the guard-everything rung exhausted: typed
-                    // reject, counted as shed load.
-                    tm_telemetry::counter_add("serve.shed", 1);
-                    tm_telemetry::counter_add("serve.errors", 1);
-                    frames.push(error_frame("exhausted", e.to_string()));
-                    self.end_of_request_maintenance(&mut session);
-                    return frames;
-                }
-            }
+            let _phase = flight::phase_with("serve.serialize", &[("seq", seq as f64)]);
+            frames.push(spcf_report_frame(session.netlist(), session.bdd(), &set, seq));
         }
         frames.push(done_frame(targets.len()));
         self.end_of_request_maintenance(&mut session);
@@ -532,9 +518,10 @@ impl ServeCore {
     }
 }
 
-/// Degrades `from` to `floor` when `floor` lies below it on the
-/// [`Algorithm::fallback`] ladder, counting the step; a `from` already
-/// at or below `floor` stays as it is.
+/// The load policy: degrades `from` to `floor` when `floor` lies below
+/// it on the [`Algorithm::fallback`] ladder, counting the load-forced
+/// step under `serve.degrade.*`; a `from` already at or below `floor`
+/// stays as it is.
 fn degrade_to(from: Algorithm, floor: Algorithm) -> Algorithm {
     if !std::iter::successors(from.fallback(), |a| a.fallback()).any(|a| a == floor) {
         return from;
@@ -550,8 +537,9 @@ fn degrade_to(from: Algorithm, floor: Algorithm) -> Algorithm {
 /// Renders one ladder point's `report` frame. Deliberately excludes
 /// wall-clock fields: these bytes must be identical for identical
 /// (circuit, algorithm, target) regardless of worker count, pool size,
-/// or manager warmth — the property the concurrent-determinism suite
-/// pins against a serial [`tm_spcf::EngineSession`] run.
+/// or manager warmth under an unlimited budget — the property the
+/// concurrent-determinism suite pins against a serial
+/// [`tm_spcf::WarmSession`] run.
 pub fn spcf_report_frame(netlist: &Netlist, bdd: &Bdd, set: &SpcfSet, seq: usize) -> String {
     let outputs = set
         .outputs
@@ -639,7 +627,8 @@ mod tests {
         // One recursion step is too tight for the exact and node-based
         // engines on a circuit whose SPCF ops miss the caches warmed
         // at session build; the conservative rung does no budgeted
-        // work at all and always lands.
+        // work at all and always lands. Budget steps count under
+        // `resilience.fallback.*`; `serve.degrade.*` is load only.
         config.budget = Budget::unlimited().with_max_steps(1);
         let core = ServeCore::new(config);
         let blif = crate::gen::synthetic_blif(7, 12, 40);
@@ -653,9 +642,42 @@ mod tests {
             "tight budget must degrade to the guard-everything rung: {frames:?}"
         );
         let snap = tm_telemetry::snapshot();
-        assert!(snap.counter("serve.degrade.node_based").unwrap_or(0) >= 1);
-        assert!(snap.counter("serve.degrade.conservative").unwrap_or(0) >= 1);
+        assert!(snap.counter("resilience.fallback.node_based").unwrap_or(0) >= 1);
+        assert!(snap.counter("resilience.fallback.conservative").unwrap_or(0) >= 1);
+        assert_eq!(snap.counter("serve.degrade.node_based"), None, "budget steps, not load steps");
+        assert_eq!(snap.counter("serve.degrade.conservative"), None);
         assert_eq!(snap.counter("serve.shed"), None, "degraded, not rejected");
+    }
+
+    #[test]
+    fn warm_step_budget_never_lands_coarser_than_fresh() {
+        // Every point gets the full step allowance, and a rung is given
+        // up only when a fresh engine of it exhausts: a core that served
+        // the earlier points may land finer than a fresh one (cached
+        // operations cost no steps), never coarser.
+        let _scope = tm_telemetry::Scope::enter();
+        let config = ServeConfig { budget: Budget::unlimited().with_max_steps(50), ..Default::default() };
+        let rank = |frames: &[String]| {
+            let j = Json::parse(&frames[0]).expect("report");
+            match j.get("algorithm").and_then(Json::as_str) {
+                Some("short-path-based") => 0,
+                Some("node-based") => 1,
+                Some("conservative") => 2,
+                other => panic!("unexpected rung {other:?}: {frames:?}"),
+            }
+        };
+        let blif = crate::gen::synthetic_blif(7, 12, 40);
+        let warm = ServeCore::new(config);
+        let mut ranks = Vec::new();
+        for k in 0..12 {
+            let point = format!("[{}]", (95 - 5 * k) as f64 / 100.0);
+            let req = spcf_request(&blif, "short-path", &point);
+            let served = rank(&warm.handle_payload(req.as_bytes()));
+            let fresh = rank(&ServeCore::new(config).handle_payload(req.as_bytes()));
+            assert!(served <= fresh, "{point}Δ: warm rung {served} coarser than fresh {fresh}");
+            ranks.push(fresh);
+        }
+        assert!(ranks.iter().any(|&r| r > 0), "vacuous fixture: no point degraded: {ranks:?}");
     }
 
     #[test]

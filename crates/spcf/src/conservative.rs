@@ -1,22 +1,23 @@
-//! The guard-everything SPCF: the last rung of the resilience
-//! degradation ladder (DESIGN.md §7).
+//! The guard-everything SPCF: the floor of the degradation ladder
+//! ([`crate::WarmState::point_with_fallback`], DESIGN.md §7).
 //!
 //! When even the node-based over-approximation exhausts its budget, the
-//! pipeline falls back to declaring *every* input pattern a speed-path
-//! activation pattern for every structurally critical output. This is
-//! the coarsest sound over-approximation: the true SPCF is trivially a
-//! subset of the full input space, so a mask synthesized against it
-//! still satisfies the coverage invariant `Σ_y ⇒ e_y` — it simply fires
-//! on every cycle and pays duplication-level area. No BDD work beyond
-//! the constant-true node is performed, so this engine cannot exhaust
-//! any budget.
+//! ladder falls back to declaring *every* input pattern a speed-path
+//! activation pattern for every structurally critical output (the same
+//! criticality filter as the real engines). This is the coarsest sound
+//! over-approximation: the true SPCF is trivially a subset of the full
+//! input space, so a mask synthesized against it still satisfies the
+//! coverage invariant `Σ_y ⇒ e_y` — it simply fires on every cycle and
+//! pays duplication-level area. No BDD work beyond the constant-true
+//! node is performed, so the ladder runs this rung unbudgeted and it
+//! cannot fail. Run it directly with
+//! [`spcf_with`](crate::spcf_with)`(Algorithm::Conservative, …)`.
 
-use crate::engine::{EngineCx, EngineSession, SpcfEngine};
-use crate::{Algorithm, SpcfSet};
-use tm_logic::bdd::{Bdd, BddRef};
-use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::{Budget, Exhausted};
-use tm_sta::Sta;
+use crate::engine::{EngineCx, SpcfEngine};
+use crate::Algorithm;
+use tm_logic::bdd::BddRef;
+use tm_netlist::NetId;
+use tm_resilience::Exhausted;
 
 /// The guard-everything engine: every critical output's SPCF is the
 /// constant-one function.
@@ -36,46 +37,29 @@ impl SpcfEngine for ConservativeEngine {
     }
 }
 
-/// Computes the guard-everything SPCF: constant-true for every output
-/// whose structural arrival exceeds `target`, mirroring the criticality
-/// filter of the real engines.
-///
-/// # Panics
-///
-/// Panics if `sta` analyzes a different netlist or the BDD manager is
-/// too narrow.
-pub fn conservative_spcf(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    target: Delay,
-) -> SpcfSet {
-    let mut engine = ConservativeEngine;
-    EngineSession::new(netlist, sta, bdd, target, Budget::unlimited())
-        .run(&mut engine)
-        .expect("the guard-everything engine performs no budgeted work")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::short_path::short_path_spcf;
+    use crate::spcf_with;
     use std::sync::Arc;
+    use tm_logic::Bdd;
     use tm_netlist::circuits::comparator2;
     use tm_netlist::library::lsi10k_like;
+    use tm_netlist::Delay;
+    use tm_sta::Sta;
 
     #[test]
     fn guards_exactly_the_critical_outputs() {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = conservative_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let set = spcf_with(Algorithm::Conservative, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(set.algorithm, Algorithm::Conservative);
         assert_eq!(set.outputs.len(), 1);
         assert_eq!(set.outputs[0].spcf, bdd.one());
         assert_eq!(set.critical_pattern_count(&bdd), 16.0);
         // Relaxed target: nothing is critical, nothing is guarded.
-        let relaxed = conservative_spcf(&nl, &sta, &mut bdd, Delay::new(7.0));
+        let relaxed = spcf_with(Algorithm::Conservative, &nl, &sta, &mut bdd, Delay::new(7.0));
         assert!(relaxed.outputs.is_empty());
     }
 
@@ -84,8 +68,8 @@ mod tests {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let guard = conservative_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-        let exact = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let guard = spcf_with(Algorithm::Conservative, &nl, &sta, &mut bdd, Delay::new(6.3));
+        let exact = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(guard.outputs.len(), exact.outputs.len());
         for (g, e) in guard.outputs.iter().zip(&exact.outputs) {
             assert_eq!(g.output, e.output);

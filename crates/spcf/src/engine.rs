@@ -7,18 +7,24 @@
 //! telemetry spans, and the criticality filter. [`WarmState`] owns
 //! that state and the per-point loop once; each algorithm shrinks to an
 //! [`SpcfEngine`] implementation answering `compute_output` queries
-//! against its [`EngineCx`]. Three holders drive it: [`EngineSession`]
-//! for one cold run ([`try_spcf_with`]), [`WarmSession`] for a borrowed
-//! Δ_y ladder, and the serving layer's session pool for an owned one.
+//! against its [`EngineCx`]. A fresh state answers one cold run
+//! ([`try_spcf_with`]); [`WarmSession`] holds one for a borrowed Δ_y
+//! ladder, and the serving layer's session pool for an owned one.
 //! Critical outputs are computed in netlist order in one manager, so
 //! the short-path stabilization memo is shared across them.
+//!
+//! The state also owns the one degradation ladder
+//! ([`WarmState::point_with_fallback`], DESIGN.md §7): synthesis, the
+//! protection-band sweep and the server all step down
+//! [`Algorithm::fallback`] through it, so a (circuit, target, budget)
+//! lands on the same rung whoever asks.
 
 use crate::common::{Algorithm, GatePrimes, LazyGlobals, OutputSpcf, SpcfSet};
 use std::time::Instant;
 use tm_logic::bdd::{Bdd, BddRef, BddRemap};
 use tm_netlist::netlist::Driver;
 use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::{Budget, Exhausted};
+use tm_resilience::{Budget, Exhausted, Resource};
 use tm_sta::Sta;
 
 /// The per-query view an [`SpcfEngine`] computes against: the circuit,
@@ -254,7 +260,9 @@ impl WarmState {
         }
     }
 
-    /// Ladder points requested through [`WarmState::try_point`].
+    /// Targets requested through [`WarmState::try_point`] and
+    /// [`WarmState::point_with_fallback`] (a point that steps down the
+    /// ladder counts once).
     pub fn points(&self) -> u64 {
         self.points
     }
@@ -286,13 +294,15 @@ impl WarmState {
     /// The engine leaves its slot for the duration of the run and goes
     /// back only on success: an exhausted or panicked run leaves the
     /// slot empty, so partial prepared state never leaks into the next
-    /// point. When the attempt exhausts the manager's *node* budget, one
-    /// round of [`WarmState::maintain`] reclaims the dead intermediates
-    /// (refunding them to the budget, which charges the manager's
-    /// current size) and the point is retried once under the same
-    /// budget. Step or memo exhaustion is not recoverable by GC and
-    /// propagates immediately (the caller's degradation ladder handles
-    /// it).
+    /// point. A rung is given up only when a *fresh* engine of it
+    /// exhausts: a resident engine that trips any budget (its memo
+    /// carries earlier points' entries) is retried once as a fresh
+    /// engine, and a trip of the manager's *node* budget is retried once
+    /// after one round of [`WarmState::maintain`] reclaims the dead
+    /// intermediates (refunding them to the budget, which charges the
+    /// manager's current size). Every attempt installs its budget
+    /// afresh, so step limits count only that attempt's steps
+    /// ([`Bdd::set_budget`]).
     pub fn try_point(
         &mut self,
         algorithm: Algorithm,
@@ -302,9 +312,69 @@ impl WarmState {
         budget: Budget,
     ) -> Result<SpcfSet, Exhausted> {
         self.points += 1;
+        self.try_rung(algorithm, sta, bdd, target, budget)
+    }
+
+    /// The degradation ladder (DESIGN.md §7): [`WarmState::try_point`]
+    /// at `algorithm`, stepping down [`Algorithm::fallback`] each time
+    /// the rung exhausts `budget` (counted once per step under
+    /// `resilience.fallback.<rung>`). Every rung computes a superset of
+    /// the one above it, so the landed set — its `algorithm` names the
+    /// rung — is a sound SPCF whatever the budget.
+    ///
+    /// The guard-everything floor runs unbudgeted: its
+    /// `compute_output` is `Ok(bdd.one())`, so the ladder always lands.
+    pub fn point_with_fallback(
+        &mut self,
+        algorithm: Algorithm,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+    ) -> SpcfSet {
+        self.points += 1;
+        let mut rung = algorithm;
+        loop {
+            let next = rung.fallback();
+            let rung_budget = if next.is_some() { budget } else { Budget::unlimited() };
+            let e = match self.try_rung(rung, sta, bdd, target, rung_budget) {
+                Ok(set) => return set,
+                Err(e) => e,
+            };
+            let next = next.expect("the unbudgeted guard-everything floor cannot exhaust");
+            tm_telemetry::counter_add(
+                match next {
+                    Algorithm::NodeBased => "resilience.fallback.node_based",
+                    _ => "resilience.fallback.conservative",
+                },
+                1,
+            );
+            if tm_telemetry::trace_level() >= 2 {
+                eprintln!("[spcf] {rung} SPCF at {target:?}: {e}; falling back to {next}");
+            }
+            rung = next;
+        }
+    }
+
+    /// One rung of one point, with the fresh-engine and GC retries of
+    /// [`WarmState::try_point`].
+    fn try_rung(
+        &mut self,
+        algorithm: Algorithm,
+        sta: &Sta<'_>,
+        bdd: &mut Bdd,
+        target: Delay,
+        budget: Budget,
+    ) -> Result<SpcfSet, Exhausted> {
+        let resident = matches!(
+            &self.slots[algorithm as usize],
+            Some(slot) if target <= slot.last_target
+        );
         match self.attempt(algorithm, sta, bdd, target, budget) {
-            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
-                self.maintain(bdd);
+            Err(e) if resident || e.resource == Resource::BddNodes => {
+                if e.resource == Resource::BddNodes {
+                    self.maintain(bdd);
+                }
                 self.attempt(algorithm, sta, bdd, target, budget)
             }
             r => r,
@@ -324,21 +394,28 @@ impl WarmState {
                 tm_telemetry::counter_add("spcf.session.rebuilds", 1);
                 engine_for(algorithm)
             }
-            Some(slot) => slot.engine,
+            Some(slot) => {
+                tm_telemetry::counter_add("spcf.session.retargets", 1);
+                slot.engine
+            }
             None => engine_for(algorithm),
         };
         // Fault-injection site: an armed `compute.panic` unwinds here,
         // after the engine left its slot — exercising exactly the
         // panic-recovery path the empty slot exists for.
         tm_resilience::fault::compute_panic_check();
-        tm_telemetry::counter_add("spcf.session.retargets", 1);
         let set = self.run(engine.as_mut(), sta, bdd, target, budget)?;
         self.slots[algorithm as usize] = Some(EngineSlot { engine, last_target: target });
         Ok(set)
     }
 
-    /// Runs `engine` over every output critical at `target` (see
-    /// [`WarmState::run_outputs`]).
+    /// The per-point loop every SPCF run goes through: installs
+    /// `budget` on `bdd`, aims `engine` at the outputs critical at
+    /// `target` under the `spcf.prepare` phase, computes each under a
+    /// `spcf.output` phase with its latency digest, then publishes
+    /// engine and manager metrics — always, even after an exhaustion,
+    /// so partial work is visible. The previous budget is restored on
+    /// every exit path.
     fn run(
         &mut self,
         engine: &mut dyn SpcfEngine,
@@ -349,26 +426,6 @@ impl WarmState {
     ) -> Result<SpcfSet, Exhausted> {
         let start = Instant::now();
         let targets = critical_outputs(sta.netlist(), sta, target);
-        let outputs = self.run_outputs(engine, sta, bdd, target, budget, &targets)?;
-        Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed()))
-    }
-
-    /// The per-point loop every serial SPCF run goes through: installs
-    /// `budget` on `bdd`, aims `engine` at `targets` under the
-    /// `spcf.prepare` phase, computes each target under a `spcf.output`
-    /// phase with its latency digest, then publishes engine and
-    /// manager metrics — always, even after an exhaustion, so partial
-    /// work is visible. The previous budget is restored on every exit
-    /// path.
-    fn run_outputs(
-        &mut self,
-        engine: &mut dyn SpcfEngine,
-        sta: &Sta<'_>,
-        bdd: &mut Bdd,
-        target: Delay,
-        budget: Budget,
-        targets: &[NetId],
-    ) -> Result<Vec<OutputSpcf>, Exhausted> {
         let _span = tm_telemetry::span::enter(span_name(engine.algorithm()));
         let scope = BudgetScope::install(bdd, budget);
         let mut cx = EngineCx {
@@ -386,11 +443,11 @@ impl WarmState {
                     "spcf.prepare",
                     &[("targets", targets.len() as f64)],
                 );
-                engine.retarget(&mut cx, targets)?;
+                engine.retarget(&mut cx, &targets)?;
             }
             let output_ns = output_ns_metric(engine.algorithm());
             let mut outputs = Vec::with_capacity(targets.len());
-            for &o in targets {
+            for &o in &targets {
                 let t0 = Instant::now();
                 let _ev =
                     tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
@@ -404,7 +461,8 @@ impl WarmState {
         })();
         engine.publish_metrics();
         cx.bdd.publish_metrics();
-        result
+        let outputs = result?;
+        Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed()))
     }
 
     /// Every [`BddRef`] the state pins across points: the lazily built
@@ -455,59 +513,6 @@ impl WarmState {
     }
 }
 
-/// One cold SPCF run: a fresh [`WarmState`] driven once through its
-/// per-point loop, without the warm protocol's engine slots or GC
-/// retry — a budget trip surfaces unchanged, so the degradation
-/// ladder's rungs see exactly the budget they were given.
-pub struct EngineSession<'n, 'c> {
-    sta: &'c Sta<'n>,
-    bdd: &'c mut Bdd,
-    target: Delay,
-    budget: Budget,
-    state: WarmState,
-}
-
-impl<'n, 'c> EngineSession<'n, 'c> {
-    /// Opens a session: validates the netlist/STA/manager triple. The
-    /// run installs `budget` on the manager and restores the previous
-    /// budget on every exit path (success, exhaustion, panic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sta` analyzes a different netlist or the manager has
-    /// fewer variables than the netlist has inputs.
-    pub fn new(
-        netlist: &'n Netlist,
-        sta: &'c Sta<'n>,
-        bdd: &'c mut Bdd,
-        target: Delay,
-        budget: Budget,
-    ) -> Self {
-        assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
-        assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
-        EngineSession { sta, bdd, target, budget, state: WarmState::new(netlist) }
-    }
-
-    /// Runs `engine` over every critical output of the session. The
-    /// engine is aimed through [`SpcfEngine::retarget`], which equals
-    /// `prepare` for the fresh engines every entry point passes in.
-    pub fn run(mut self, engine: &mut dyn SpcfEngine) -> Result<SpcfSet, Exhausted> {
-        self.state.run(engine, self.sta, self.bdd, self.target, self.budget)
-    }
-
-    /// Runs `engine` for a single (not necessarily output) net —
-    /// diagnostics and tests.
-    pub fn run_net(
-        mut self,
-        engine: &mut dyn SpcfEngine,
-        net: NetId,
-    ) -> Result<BddRef, Exhausted> {
-        let outputs =
-            self.state.run_outputs(engine, self.sta, self.bdd, self.target, self.budget, &[net])?;
-        Ok(outputs[0].spcf)
-    }
-}
-
 /// A borrowing warm session: one [`WarmState`] serving one algorithm
 /// over a caller-owned manager, for the ladders that live inside one
 /// call frame (the sweep, `table1`, the DVS explorer).
@@ -535,8 +540,7 @@ impl<'n, 'c> WarmSession<'n, 'c> {
         bdd: &'c mut Bdd,
         budget: Budget,
     ) -> Self {
-        assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
-        assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
+        check_triple(netlist, sta, bdd);
         WarmSession { sta, bdd, algorithm, budget, state: WarmState::new(netlist) }
     }
 
@@ -568,20 +572,20 @@ impl<'n, 'c> WarmSession<'n, 'c> {
         self.state.maintain(self.bdd)
     }
 
-    /// Evaluates the SPCF of every output critical at `target` — one
-    /// [`WarmState::try_point`], with its ascending-step rebuild and
-    /// node-budget recovery.
+    /// Evaluates the SPCF of every output critical at `target` with the
+    /// session's algorithm alone — one [`WarmState::try_point`], with
+    /// its ascending-step rebuild and fresh-engine/GC retries.
     pub fn try_retarget(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
         self.state.try_point(self.algorithm, self.sta, self.bdd, target, self.budget)
     }
 
-    /// Infallible [`WarmSession::try_retarget`] for unlimited budgets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's budget is finite and exhausts.
+    /// Evaluates the SPCF of every output critical at `target`, stepping
+    /// down the degradation ladder when the session's algorithm
+    /// exhausts the budget ([`WarmState::point_with_fallback`]); the
+    /// set's `algorithm` names the rung that answered. Under an
+    /// unlimited budget it is always the session's algorithm.
     pub fn retarget(&mut self, target: Delay) -> SpcfSet {
-        self.try_retarget(target).expect("unlimited budget cannot exhaust")
+        self.state.point_with_fallback(self.algorithm, self.sta, self.bdd, target, self.budget)
     }
 
     /// Number of targets evaluated so far.
@@ -590,8 +594,23 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     }
 }
 
+/// Panics unless `sta` analyzes `netlist` and `bdd` has a variable
+/// for every primary input — the precondition of every holder.
+fn check_triple(netlist: &Netlist, sta: &Sta<'_>, bdd: &Bdd) {
+    assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
+    assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
+}
+
 /// Computes the SPCF of every critical output with `algorithm` in one
-/// cold [`EngineSession`] under `budget`.
+/// cold run: a fresh engine over a fresh [`WarmState`], driven once
+/// through its per-point loop with no retry, so a budget trip surfaces
+/// exactly as the budget produced it. `budget` is installed on `bdd`
+/// for the run and the previous budget restored on every exit path.
+///
+/// # Panics
+///
+/// Panics if `sta` analyzes a different netlist or the manager has
+/// fewer variables than the netlist has inputs.
 pub fn try_spcf_with(
     algorithm: Algorithm,
     netlist: &Netlist,
@@ -600,11 +619,13 @@ pub fn try_spcf_with(
     target: Delay,
     budget: Budget,
 ) -> Result<SpcfSet, Exhausted> {
-    let mut engine = engine_for(algorithm);
-    EngineSession::new(netlist, sta, bdd, target, budget).run(engine.as_mut())
+    check_triple(netlist, sta, bdd);
+    WarmState::new(netlist).run(engine_for(algorithm).as_mut(), sta, bdd, target, budget)
 }
 
-/// Unlimited [`try_spcf_with`].
+/// Unlimited [`try_spcf_with`]: the SPCF of every output critical at
+/// `target` (`Δ_y`, e.g. `0.9 × Δ`; outputs whose worst arrival is
+/// within it are omitted).
 pub fn spcf_with(
     algorithm: Algorithm,
     netlist: &Netlist,

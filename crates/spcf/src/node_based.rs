@@ -20,15 +20,37 @@
 //! property tests.
 
 use crate::common::{distinct_fanins, gate_on_off_primes};
-use crate::engine::{cone_nets, EngineCx, EngineSession, SpcfEngine};
-use crate::{Algorithm, SpcfSet};
-use tm_logic::bdd::{Bdd, BddRef};
-use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::{Budget, Exhausted};
-use tm_sta::Sta;
+use crate::engine::{cone_nets, EngineCx, SpcfEngine};
+use crate::Algorithm;
+use tm_logic::bdd::BddRef;
+use tm_netlist::{Delay, NetId};
+use tm_resilience::Exhausted;
 
 /// The node-based engine: one cone-restricted topological pass
-/// computing a per-net static "on-time" function.
+/// computing a per-net static "on-time" function —
+/// [`Algorithm::NodeBased`], the fastest of the three engines.
+///
+/// The result is a superset of the exact SPCF per output (equality on
+/// circuits without multi-fanout criticality sharing).
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use tm_logic::Bdd;
+/// use tm_netlist::{circuits::comparator2, library::lsi10k_like, Delay};
+/// use tm_spcf::{spcf_with, Algorithm};
+/// use tm_sta::Sta;
+///
+/// let nl = comparator2(Arc::new(lsi10k_like()));
+/// let sta = Sta::new(&nl);
+/// let mut bdd = Bdd::new(4);
+/// let over = spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, Delay::new(6.3));
+/// let exact = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
+/// // Over-approximation contains the exact set.
+/// let (o, e) = (over.outputs[0].spcf, exact.outputs[0].spcf);
+/// assert!(bdd.is_subset(e, o));
+/// ```
 #[derive(Default)]
 pub struct NodeBasedEngine {
     /// `on_time[net]`: patterns for which the net is guaranteed settled
@@ -45,9 +67,9 @@ impl SpcfEngine for NodeBasedEngine {
     /// single complement per output. The sweep is restricted to the
     /// fanin cones of `targets`: every statically critical gate lies in
     /// the cone of some critical output (its finite required time comes
-    /// from a violating path *to* such an output), so on the full
-    /// target list the restriction changes nothing — and on a single
-    /// net ([`EngineSession::run_net`]) it skips the rest of the circuit.
+    /// from a violating path *to* such an output), so the restriction
+    /// changes no result — it only skips logic that feeds non-critical
+    /// outputs.
     fn prepare(
         &mut self,
         cx: &mut EngineCx<'_, '_>,
@@ -139,60 +161,13 @@ impl SpcfEngine for NodeBasedEngine {
     }
 }
 
-/// Computes the over-approximate SPCF of every critical output with the
-/// node-based algorithm of ref \[22\].
-///
-/// The result is a superset of the exact SPCF per output (equality on
-/// circuits without multi-fanout criticality sharing), computed in one
-/// topological pass — the fastest of the three engines.
-///
-/// # Panics
-///
-/// Panics if the BDD manager is too narrow or `sta` analyzes a
-/// different netlist.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use tm_logic::Bdd;
-/// use tm_netlist::{circuits::comparator2, library::lsi10k_like, Delay};
-/// use tm_spcf::{node_based_spcf, short_path_spcf};
-/// use tm_sta::Sta;
-///
-/// let nl = comparator2(Arc::new(lsi10k_like()));
-/// let sta = Sta::new(&nl);
-/// let mut bdd = Bdd::new(4);
-/// let over = node_based_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-/// let exact = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-/// // Over-approximation contains the exact set.
-/// let (o, e) = (over.outputs[0].spcf, exact.outputs[0].spcf);
-/// assert!(bdd.is_subset(e, o));
-/// ```
-pub fn node_based_spcf(netlist: &Netlist, sta: &Sta<'_>, bdd: &mut Bdd, target: Delay) -> SpcfSet {
-    try_node_based_spcf(netlist, sta, bdd, target, Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// Budget-checked [`node_based_spcf`]: `budget` caps BDD nodes and
-/// recursion steps for the duration of the session (the manager's
-/// previous budget is restored afterwards). On exhaustion the partial
-/// pass is abandoned with a typed [`Exhausted`] error.
-pub fn try_node_based_spcf(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    target: Delay,
-    budget: Budget,
-) -> Result<SpcfSet, Exhausted> {
-    let mut engine = NodeBasedEngine::default();
-    EngineSession::new(netlist, sta, bdd, target, budget).run(&mut engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::short_path::short_path_spcf;
+    use crate::spcf_with;
+    use tm_logic::Bdd;
+    use tm_netlist::Netlist;
+    use tm_sta::Sta;
     use std::sync::Arc;
     use tm_netlist::circuits::{comparator2, mini_alu, priority_encoder, ripple_adder};
     use tm_netlist::library::{lsi10k_like, Library};
@@ -202,8 +177,8 @@ mod tests {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let over = node_based_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-        let exact = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let over = spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, Delay::new(6.3));
+        let exact = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(over.outputs.len(), 1);
         let o = over.outputs[0].spcf;
         let e = exact.outputs[0].spcf;
@@ -241,8 +216,8 @@ mod tests {
             for frac in [0.7, 0.85, 0.95] {
                 let target = delta * frac;
                 let mut bdd = Bdd::new(nl.inputs().len());
-                let over = node_based_spcf(&nl, &sta, &mut bdd, target);
-                let exact = short_path_spcf(&nl, &sta, &mut bdd, target);
+                let over = spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, target);
+                let exact = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target);
                 assert_eq!(over.outputs.len(), exact.outputs.len());
                 for (a, b) in over.outputs.iter().zip(&exact.outputs) {
                     assert_eq!(a.output, b.output);
@@ -261,7 +236,7 @@ mod tests {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = node_based_spcf(&nl, &sta, &mut bdd, Delay::new(7.5));
+        let set = spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, Delay::new(7.5));
         assert!(set.outputs.is_empty());
     }
 }

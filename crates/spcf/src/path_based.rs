@@ -12,8 +12,8 @@
 //! node-based pass).
 
 use crate::common::{distinct_fanins, gate_on_off_primes};
-use crate::engine::{cone_nets, EngineCx, EngineSession, SpcfEngine};
-use crate::{Algorithm, GatePrimes, SpcfSet};
+use crate::engine::{cone_nets, EngineCx, SpcfEngine};
+use crate::{Algorithm, GatePrimes};
 use tm_logic::bdd::{Bdd, BddRef};
 use tm_netlist::{Delay, NetId, Netlist};
 use tm_resilience::{Budget, Exhausted};
@@ -41,7 +41,9 @@ impl Waveform {
 }
 
 /// The path-based engine: complete timed waveforms over the target
-/// cones, one lookup per output.
+/// cones, one lookup per output — [`Algorithm::PathBased`]. Produces
+/// the same SPCFs as the short-path engine (both are exact); it is the
+/// accuracy reference and the runtime baseline of Table 1.
 #[derive(Default)]
 pub struct PathBasedEngine {
     waves: Vec<Option<Waveform>>,
@@ -139,39 +141,6 @@ impl SpcfEngine for PathBasedEngine {
             }
         }
     }
-}
-
-/// Computes the exact SPCF of every critical output by full timed
-/// waveform propagation.
-///
-/// Produces the same SPCFs as [`crate::short_path_spcf`] (both are
-/// exact); used as the accuracy reference and the runtime baseline of
-/// Table 1.
-///
-/// # Panics
-///
-/// Panics if the BDD manager is too narrow or `sta` analyzes a
-/// different netlist.
-pub fn path_based_spcf(netlist: &Netlist, sta: &Sta<'_>, bdd: &mut Bdd, target: Delay) -> SpcfSet {
-    try_path_based_spcf(netlist, sta, bdd, target, Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// Budget-checked [`path_based_spcf`]: `budget` caps BDD nodes and
-/// recursion steps for the duration of the session (the manager's
-/// previous budget is restored afterwards) plus the total number of
-/// materialized waveform breakpoints (counted against
-/// `max_memo_entries`). On exhaustion the partial analysis is abandoned
-/// with a typed [`Exhausted`] error.
-pub fn try_path_based_spcf(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    target: Delay,
-    budget: Budget,
-) -> Result<SpcfSet, Exhausted> {
-    let mut engine = PathBasedEngine::default();
-    EngineSession::new(netlist, sta, bdd, target, budget).run(&mut engine)
 }
 
 /// Exact (floating-mode) stabilization delay of every primary output:
@@ -324,7 +293,7 @@ fn build_waveforms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::short_path::short_path_spcf;
+    use crate::spcf_with;
     use std::sync::Arc;
     use tm_netlist::circuits::{comparator2, mini_alu, ripple_adder};
     use tm_netlist::library::lsi10k_like;
@@ -334,8 +303,8 @@ mod tests {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let pb = path_based_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-        let sp = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let pb = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, Delay::new(6.3));
+        let sp = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(pb.outputs.len(), 1);
         assert_eq!(pb.outputs[0].spcf, sp.outputs[0].spcf);
         assert_eq!(pb.critical_pattern_count(&bdd), 10.0);
@@ -350,8 +319,8 @@ mod tests {
             for frac in [0.75, 0.9, 0.95] {
                 let target = delta * frac;
                 let mut bdd = Bdd::new(nl.inputs().len());
-                let pb = path_based_spcf(&nl, &sta, &mut bdd, target);
-                let sp = short_path_spcf(&nl, &sta, &mut bdd, target);
+                let pb = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, target);
+                let sp = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target);
                 assert_eq!(pb.outputs.len(), sp.outputs.len(), "{} {frac}", nl.name());
                 for (a, b) in pb.outputs.iter().zip(&sp.outputs) {
                     assert_eq!(a.output, b.output);
@@ -396,7 +365,7 @@ mod tests {
             exact[0].1
         );
         // And the SPCF above the exact delay is empty (false paths).
-        let set = path_based_spcf(&nl, &sta, &mut bdd, Delay::new(7.2));
+        let set = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, Delay::new(7.2));
         let zero = bdd.zero();
         assert!(set.outputs.iter().all(|o| o.spcf == zero));
     }
@@ -417,10 +386,10 @@ mod tests {
         let nl = comparator2(Arc::new(lsi10k_like()));
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = path_based_spcf(&nl, &sta, &mut bdd, Delay::new(7.0));
+        let set = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, Delay::new(7.0));
         assert!(set.outputs.is_empty());
         // Just below Δ: the two 7-unit paths give a nonempty SPCF.
-        let set = path_based_spcf(&nl, &sta, &mut bdd, Delay::new(6.999));
+        let set = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, Delay::new(6.999));
         assert_eq!(set.outputs.len(), 1);
         assert!(set.critical_pattern_count(&bdd) > 0.0);
     }

@@ -18,16 +18,15 @@
 //! analysis at equal accuracy.
 
 use crate::common::{distinct_fanins, gate_on_off_primes};
-use crate::engine::{EngineCx, EngineSession, SpcfEngine};
-use crate::{Algorithm, SpcfSet};
+use crate::engine::{EngineCx, SpcfEngine};
+use crate::Algorithm;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tm_logic::bdd::{Bdd, BddRef};
+use tm_logic::bdd::BddRef;
 use tm_logic::Cube;
 use tm_netlist::netlist::Driver;
-use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::{Budget, Exhausted};
-use tm_sta::Sta;
+use tm_netlist::NetId;
+use tm_resilience::Exhausted;
 
 struct GateInfo {
     fanins: Vec<NetId>,
@@ -37,7 +36,25 @@ struct GateInfo {
     primes: Arc<(Vec<Cube>, Vec<Cube>)>,
 }
 
-/// The short-path engine: memoized single-time stabilization queries.
+/// The short-path engine: memoized single-time stabilization queries —
+/// the exact SPCF, [`Algorithm::ShortPath`].
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use tm_logic::Bdd;
+/// use tm_netlist::{circuits::comparator2, library::lsi10k_like, Delay};
+/// use tm_spcf::{spcf_with, Algorithm};
+/// use tm_sta::Sta;
+///
+/// let nl = comparator2(Arc::new(lsi10k_like()));
+/// let sta = Sta::new(&nl);
+/// let mut bdd = Bdd::new(4);
+/// let set = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
+/// // The paper's worked example: Σ_y = ā1 + ā0·b1, 10 of 16 patterns.
+/// assert_eq!(set.critical_pattern_count(&bdd), 10.0);
+/// ```
 #[derive(Default)]
 pub struct ShortPathEngine {
     arrivals_q: Vec<i64>,
@@ -238,75 +255,15 @@ impl SpcfEngine for ShortPathEngine {
     }
 }
 
-/// Computes the exact SPCF of every critical output with the proposed
-/// short-path-based algorithm.
-///
-/// `target` is the target arrival time `Δ_y` (e.g. `0.9 × Δ`); outputs
-/// whose worst arrival is within the target are not critical and are
-/// omitted.
-///
-/// # Panics
-///
-/// Panics if the BDD manager has fewer variables than the netlist has
-/// inputs, or if `sta` analyzes a different netlist.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use tm_logic::Bdd;
-/// use tm_netlist::{circuits::comparator2, library::lsi10k_like, Delay};
-/// use tm_spcf::short_path_spcf;
-/// use tm_sta::Sta;
-///
-/// let nl = comparator2(Arc::new(lsi10k_like()));
-/// let sta = Sta::new(&nl);
-/// let mut bdd = Bdd::new(4);
-/// let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-/// // The paper's worked example: Σ_y = ā1 + ā0·b1, 10 of 16 patterns.
-/// assert_eq!(set.critical_pattern_count(&bdd), 10.0);
-/// ```
-pub fn short_path_spcf(netlist: &Netlist, sta: &Sta<'_>, bdd: &mut Bdd, target: Delay) -> SpcfSet {
-    try_short_path_spcf(netlist, sta, bdd, target, Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// Budget-checked [`short_path_spcf`]: the `budget` caps BDD nodes and
-/// recursion steps (installed on the manager for the duration of the
-/// session, then restored) plus the engine's stabilization memo; on
-/// exhaustion the partial computation is abandoned and a typed
-/// [`Exhausted`] error is returned.
-pub fn try_short_path_spcf(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    target: Delay,
-    budget: Budget,
-) -> Result<SpcfSet, Exhausted> {
-    let mut engine = ShortPathEngine::default();
-    EngineSession::new(netlist, sta, bdd, target, budget).run(&mut engine)
-}
-
-/// Computes the short-path SPCF of a *single* net at an arbitrary target
-/// time (not necessarily a primary output) — useful for diagnostics and
-/// for tests.
-pub fn short_path_spcf_of_net(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    bdd: &mut Bdd,
-    net: NetId,
-    target: Delay,
-) -> BddRef {
-    let mut engine = ShortPathEngine::default();
-    EngineSession::new(netlist, sta, bdd, target, Budget::unlimited())
-        .run_net(&mut engine, net)
-        .expect("unlimited budget cannot exhaust")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{spcf_with, try_spcf_with};
     use std::sync::Arc;
+    use tm_logic::Bdd;
+    use tm_netlist::{Delay, Netlist};
+    use tm_resilience::Budget;
+    use tm_sta::Sta;
     use tm_netlist::circuits::comparator2;
     use tm_netlist::library::lsi10k_like;
 
@@ -319,7 +276,7 @@ mod tests {
         let nl = setup();
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let set = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(set.outputs.len(), 1);
         // Paper: Σ_y(Δ_y) = ā1 + ā0·b1 (inputs a0,a1,b0,b1 = vars 0..3).
         let a1 = bdd.var(1);
@@ -338,7 +295,7 @@ mod tests {
         let nl = setup();
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(7.0));
+        let set = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(7.0));
         assert!(set.outputs.is_empty());
         assert_eq!(set.critical_pattern_count(&bdd), 0.0);
     }
@@ -352,8 +309,8 @@ mod tests {
         // Not necessarily — some patterns settle via 4-unit paths. At
         // target 3.9 the SPCF is the set of patterns settling later than
         // 3.9 (nonempty and bigger than the 6.3 SPCF).
-        let tight = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(3.9));
-        let loose = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let tight = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(3.9));
+        let loose = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         let tc = tight.critical_pattern_count(&bdd);
         let lc = loose.critical_pattern_count(&bdd);
         assert!(tc >= lc);
@@ -373,7 +330,7 @@ mod tests {
         let nl = setup();
         let sta = Sta::new(&nl);
         let mut bdd = Bdd::new(4);
-        let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let set = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         let spcf = set.outputs[0].spcf;
         let sim = tm_sim::timing::TimingSim::new(&nl);
         for m in 0..16u64 {
@@ -397,17 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn single_net_query_matches_full_run() {
-        let nl = setup();
-        let sta = Sta::new(&nl);
-        let mut bdd = Bdd::new(4);
-        let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
-        let y = nl.outputs()[0];
-        let single = short_path_spcf_of_net(&nl, &sta, &mut bdd, y, Delay::new(6.3));
-        assert_eq!(single, set.outputs[0].spcf);
-    }
-
-    #[test]
     fn session_restores_previous_budget() {
         let nl = setup();
         let sta = Sta::new(&nl);
@@ -415,14 +361,14 @@ mod tests {
         let outer = Budget::unlimited().with_max_steps(123_456);
         bdd.set_budget(outer);
         // Success path restores.
-        let _ = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+        let _ = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
         assert_eq!(bdd.budget(), outer);
         // Exhaustion path restores too (fresh manager: the run above
         // left warm caches that would absorb a tiny step budget).
         let mut cold = Bdd::new(4);
         cold.set_budget(outer);
         let tiny = Budget::unlimited().with_max_steps(1);
-        assert!(try_short_path_spcf(&nl, &sta, &mut cold, Delay::new(6.3), tiny).is_err());
+        assert!(try_spcf_with(Algorithm::ShortPath, &nl, &sta, &mut cold, Delay::new(6.3), tiny).is_err());
         assert_eq!(cold.budget(), outer);
     }
 }

@@ -1,7 +1,7 @@
 //! Differential oracle suite for the three SPCF engines.
 //!
-//! Randomized netlists are pushed through `node_based_spcf`,
-//! `path_based_spcf`, and `short_path_spcf`, and the results are
+//! Randomized netlists are pushed through the node-based, path-based
+//! and short-path engines (`spcf_with`), and the results are
 //! cross-checked three ways:
 //!
 //! 1. **Engine agreement**: the two exact engines produce identical
@@ -30,7 +30,7 @@ use tm_netlist::{Delay, Netlist};
 use tm_sim::patterns::random_vectors;
 use tm_sim::timing::TimingSim;
 use tm_spcf::common::distinct_fanins;
-use tm_spcf::{short_path_spcf, spcf_with, Algorithm, SpcfSet};
+use tm_spcf::{spcf_with, Algorithm, SpcfSet};
 use tm_sta::Sta;
 use tm_testkit::prop::{check, Config, Gen};
 use tm_testkit::{prop_assert, prop_assert_eq};
@@ -266,7 +266,7 @@ fn event_sim_contained_in_spcf() {
             let target = sta.critical_path_delay() * *frac;
             let qt = target.quantize();
             let mut bdd = Bdd::new(nl.inputs().len());
-            let sp = short_path_spcf(nl, &sta, &mut bdd, target);
+            let sp = spcf_with(Algorithm::ShortPath, nl, &sta, &mut bdd, target);
 
             let gates = oracle_gates(nl, &sta);
             let sim = TimingSim::new(nl);

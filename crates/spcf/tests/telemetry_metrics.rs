@@ -9,7 +9,7 @@ use tm_netlist::circuits::comparator2;
 use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::Delay;
-use tm_spcf::{path_based_spcf, short_path_spcf, spcf_with, Algorithm};
+use tm_spcf::{spcf_with, Algorithm};
 use tm_sta::Sta;
 
 /// Six speed chains put several same-length tails on one shared NAND
@@ -32,8 +32,8 @@ fn short_path_memoizes_and_beats_waveform_node_count() {
 
     let _scope = tm_telemetry::Scope::enter();
     let mut bdd = Bdd::new(nl.inputs().len());
-    let sp = short_path_spcf(&nl, &sta, &mut bdd, target);
-    let pb = path_based_spcf(&nl, &sta, &mut bdd, target);
+    let sp = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target);
+    let pb = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, target);
     assert!(!sp.outputs.is_empty(), "need critical outputs for a meaningful test");
     for (a, b) in sp.outputs.iter().zip(&pb.outputs) {
         assert_eq!(a.spcf, b.spcf, "exact engines must agree");
@@ -102,7 +102,7 @@ fn comparator2_golden_metrics() {
 
     let _scope = tm_telemetry::Scope::enter();
     let mut bdd = Bdd::new(nl.inputs().len());
-    let set = short_path_spcf(&nl, &sta, &mut bdd, Delay::new(6.3));
+    let set = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, Delay::new(6.3));
     assert_eq!(set.critical_pattern_count(&bdd), 10.0, "paper: 10 of 16 patterns");
 
     let snap = tm_telemetry::snapshot();

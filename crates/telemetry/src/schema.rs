@@ -62,7 +62,7 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     // tm-monitor: trace capture.
     ("monitor.trace.captured", MetricKind::Counter),
     ("monitor.trace.dropped", MetricKind::Counter),
-    // tm-resilience: budgets and the masking degradation ladder.
+    // tm-resilience: budgets and the one SPCF degradation ladder.
     ("resilience.budget.exhausted", MetricKind::Counter),
     ("resilience.fallback.node_based", MetricKind::Counter),
     ("resilience.fallback.conservative", MetricKind::Counter),

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use timemask::logic::Bdd;
 use timemask::masking::{synthesize, verify, MaskingOptions};
 use timemask::netlist::{circuits::comparator2, library::lsi10k_like};
-use timemask::spcf::short_path_spcf;
+use timemask::spcf::{spcf_with, Algorithm};
 use timemask::sta::Sta;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
 
     // The SPCF: Σ_y(Δ_y) = ā1 + ā0·b1 — 10 of the 16 input patterns.
     let mut bdd = Bdd::new(4);
-    let spcf = short_path_spcf(&circuit, &sta, &mut bdd, target);
+    let spcf = spcf_with(Algorithm::ShortPath, &circuit, &sta, &mut bdd, target);
     let sigma = spcf.outputs[0].spcf;
     println!("\nSPCF patterns (paper: Σ_y = ā1 + ā0·b1):");
     let mut count = 0;
@@ -54,9 +54,13 @@ fn main() {
     println!("  total: {count} of 16 (paper: ā1 + ā0·b1 = 10 patterns)");
     assert_eq!(count, 10);
 
-    // Synthesize the masking circuit of Fig. 2(b).
+    // Synthesize the masking circuit of Fig. 2(b). Synthesis runs the
+    // SPCF on the degradation ladder; under the default unlimited
+    // budget it stays on the exact rung computed above.
     let mut result = synthesize(&circuit, MaskingOptions::default());
+    assert_eq!(result.spcf.algorithm, Algorithm::ShortPath);
     println!("\nerror-masking circuit (Fig. 2b):");
+    println!("  SPCF rung     : {}", result.report.degradation);
     println!("  masking gates : {}", result.design.masking.num_gates());
     println!("  slack         : {:.1}%", result.report.slack_percent);
     println!("  area overhead : {:.1}%", result.report.area_overhead_percent);

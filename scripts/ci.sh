@@ -22,9 +22,11 @@
 #    `TmError` instead. Stale allowlist entries fail too.
 # 6. Fuzz smoke: the mutation-based BLIF parser fuzz suite (hundreds of
 #    adversarial documents; any panic fails the run).
-# 7. Serve smoke: boot the daemon with a tiny admission gate, drive it
-#    with loadgen's smoke mode (which must trip admission shedding),
-#    and validate the STATS snapshot against the schema.
+# 7. Serve smoke: boot the daemon with a tiny admission gate and a
+#    per-point step budget, drive it with loadgen's smoke mode (which
+#    must trip admission shedding), and validate the STATS snapshot
+#    against the schema, requiring a nonzero budget fallback from the
+#    exact rung.
 # 8. Trace smoke: boot the daemon, drive it with loadgen, pull a
 #    flight-recorder export over the `trace` verb, and validate the
 #    Chrome trace JSON (nesting, phase sums) with `tm-profile --check`.
@@ -139,12 +141,15 @@ echo "== serve smoke (daemon + loadgen + admission shed) =="
 # Start the daemon on an ephemeral port with a deliberately tiny
 # admission gate, drive it with the load generator's smoke mode (which
 # includes a connection burst that must trip admission control), and
-# validate the STATS metrics against the closed schema.
+# validate the STATS metrics against the closed schema. The 20-step
+# per-point budget is below what a cold session's first short-path
+# point of the smoke corpus needs, so the degradation ladder must step
+# down (`resilience.fallback.node_based`); warm repeats fit it.
 serve_metrics_json=target/tm-bench/ci-serve-metrics.json
 serve_log=target/tm-bench/ci-serve.log
 rm -f "$serve_metrics_json"
 mkdir -p target/tm-bench
-./target/release/tm-server --addr 127.0.0.1:0 --workers 2 --admit 1 \
+./target/release/tm-server --addr 127.0.0.1:0 --workers 2 --admit 1 --max-steps 20 \
     > "$serve_log" 2>/dev/null &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -162,6 +167,7 @@ test -s "$serve_metrics_json" || { echo "ERROR: loadgen wrote no metrics snapsho
 cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
     --require-nonzero serve.requests --require-nonzero serve.shed \
     --require-nonzero bdd.unique.misses --require-nonzero spcf.short_path.stab_calls \
+    --require-nonzero resilience.fallback.node_based \
     "$serve_metrics_json"
 
 echo "== trace smoke (flight recorder + trace verb + tm-profile --check) =="

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use timemask::logic::Bdd;
 use timemask::masking::{synthesize, verify, MaskingOptions};
 use timemask::netlist::{circuits::comparator2, library::lsi10k_like, Delay};
-use timemask::spcf::{node_based_spcf, path_based_spcf, short_path_spcf};
+use timemask::spcf::{spcf_with, Algorithm};
 use timemask::sta::Sta;
 
 /// Paper: "Assuming unit delay for an inverter and a delay of two units
@@ -33,9 +33,9 @@ fn spcf_matches_paper_formula() {
     let mut bdd = Bdd::new(4);
 
     // All three engines on the worked example.
-    let sp = short_path_spcf(&nl, &sta, &mut bdd, target);
-    let pb = path_based_spcf(&nl, &sta, &mut bdd, target);
-    let nb = node_based_spcf(&nl, &sta, &mut bdd, target);
+    let sp = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target);
+    let pb = spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, target);
+    let nb = spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, target);
 
     // Expected formula (input order a0, a1, b0, b1 = BDD vars 0..3).
     let a0 = bdd.var(0);
@@ -69,9 +69,9 @@ fn fig2_goldens_all_engines() {
 
     let mut bdd = Bdd::new(4);
     for (name, set) in [
-        ("short-path", short_path_spcf(&nl, &sta, &mut bdd, target)),
-        ("path-based", path_based_spcf(&nl, &sta, &mut bdd, target)),
-        ("node-based", node_based_spcf(&nl, &sta, &mut bdd, target)),
+        ("short-path", spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target)),
+        ("path-based", spcf_with(Algorithm::PathBased, &nl, &sta, &mut bdd, target)),
+        ("node-based", spcf_with(Algorithm::NodeBased, &nl, &sta, &mut bdd, target)),
     ] {
         assert_eq!(set.target, target, "{name}: Δ_y");
         assert_eq!(set.outputs.len(), 1, "{name}: one critical output");

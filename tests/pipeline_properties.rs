@@ -10,7 +10,7 @@ use timemask::masking::{synthesize, verify, MaskingOptions};
 use timemask::netlist::generate::{generate, GeneratorSpec};
 use timemask::netlist::library::lsi10k_like;
 use timemask::netlist::Netlist;
-use timemask::spcf::{node_based_spcf, path_based_spcf, short_path_spcf};
+use timemask::spcf::{spcf_with, Algorithm};
 use timemask::sta::Sta;
 use tm_testkit::prop::{check, Config, Gen};
 use tm_testkit::{prop_assert, prop_assert_eq};
@@ -37,9 +37,9 @@ fn spcf_engine_hierarchy() {
             let sta = Sta::new(nl);
             let target = sta.critical_path_delay() * *frac;
             let mut bdd = Bdd::new(nl.inputs().len());
-            let sp = short_path_spcf(nl, &sta, &mut bdd, target);
-            let pb = path_based_spcf(nl, &sta, &mut bdd, target);
-            let nb = node_based_spcf(nl, &sta, &mut bdd, target);
+            let sp = spcf_with(Algorithm::ShortPath, nl, &sta, &mut bdd, target);
+            let pb = spcf_with(Algorithm::PathBased, nl, &sta, &mut bdd, target);
+            let nb = spcf_with(Algorithm::NodeBased, nl, &sta, &mut bdd, target);
             prop_assert_eq!(sp.outputs.len(), pb.outputs.len());
             prop_assert_eq!(sp.outputs.len(), nb.outputs.len());
             for ((a, b), c) in sp.outputs.iter().zip(&pb.outputs).zip(&nb.outputs) {
@@ -69,7 +69,7 @@ fn non_spcf_patterns_settle_in_time() {
             let sta = Sta::new(&nl);
             let target = sta.critical_path_delay() * 0.9;
             let mut bdd = Bdd::new(6);
-            let spcf = short_path_spcf(&nl, &sta, &mut bdd, target);
+            let spcf = spcf_with(Algorithm::ShortPath, &nl, &sta, &mut bdd, target);
             let sim = timemask::sim::timing::TimingSim::new(&nl);
             for m in 0..64u64 {
                 let next: Vec<bool> = (0..6).map(|i| (m >> i) & 1 == 1).collect();
