@@ -7,11 +7,13 @@
 //! - [`cube`]: product terms over ≤ 64 variables — the unit of the
 //!   paper's essential-weight cover selection.
 //! - [`sop`]: ordered sum-of-products covers.
-//! - [`tt`]: dense truth tables for node-local functions (≤ 20 inputs).
+//! - [`tt`]: dense truth tables for node-local functions (≤ 20 inputs),
+//!   operated on a word at a time, with variable swap, embedding and
+//!   projection.
 //! - [`qm`]: exact prime implicant generation (a free-set walk over
 //!   bitset truth tables, `(n + 1) · 2^n` bits of memory up to 12
 //!   inputs, Shannon splits above) and two-level cover minimization
-//!   (exact primes, greedy covering).
+//!   (exact primes, greedy covering over bitset rows).
 //! - [`bdd`]: an ROBDD manager for global functions over all primary
 //!   inputs — speed-path characteristic functions routinely have 10¹⁰⁰⁺
 //!   satisfying patterns, which BDDs represent and count exactly.

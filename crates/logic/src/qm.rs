@@ -28,25 +28,39 @@
 //! Each level of the split holds three half-width tables, so memory stays
 //! within a few times the input table, and a table of `n > 12` inputs
 //! makes at most `3^(n − 12)` walks of 12 inputs.
+//!
+//! # Cover selection
+//!
+//! [`select_cover`] keeps, for each prime, the on-set minterms it covers
+//! as a bitset row: the nonzero words of `prime ∩ on`, built from the
+//! cube's in-word pattern and matching word indices. Every step is then
+//! a pass over words:
+//! - **Essential primes.** One pass over all rows accumulates `once`
+//!   (covered at least once) and `twice` (at least twice); a prime is
+//!   essential iff its row meets `once ∧ ¬twice`.
+//! - **Greedy steps.** A max-heap holds each unselected prime under the
+//!   key `(gain, Reverse((literal_count, index)))`, where the gain is the
+//!   number of uncovered minterms its row covers. Gains only shrink as
+//!   minterms get covered, so every stored gain bounds the current one
+//!   from above. The popped prime's gain is recounted: if it is
+//!   unchanged, no other prime can beat it or tie it with a smaller
+//!   `(literal_count, index)`, since such a prime would be stored at
+//!   least as high and popped first. It is therefore exactly the eager
+//!   argmax, with the same tie-break; otherwise it goes back with the
+//!   fresh gain.
+//! - **Irredundancy.** In ascending index order, a chosen prime is
+//!   dropped when its row lies inside the `twice` set of the chosen
+//!   rows, that is inside the OR of the others.
 
 use crate::cube::Cube;
 use crate::sop::Sop;
-use crate::tt::TruthTable;
-use std::collections::{HashMap, HashSet};
+use crate::tt::{cube_words, TruthTable, LOW};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Widest table the free-set walk takes directly; wider ones are split
 /// first. Extraction's default node support is 12 inputs.
 const LEAF_VARS: usize = 12;
-
-/// `LOW[x]` marks the bit positions `b` of a word whose bit `x` is 0.
-const LOW: [u64; 6] = [
-    0x5555_5555_5555_5555,
-    0x3333_3333_3333_3333,
-    0x0f0f_0f0f_0f0f_0f0f,
-    0x00ff_00ff_00ff_00ff,
-    0x0000_ffff_0000_ffff,
-    0x0000_0000_ffff_ffff,
-];
 
 /// Computes all prime implicants of the incompletely specified function
 /// with the given on-set and don't-care set.
@@ -193,7 +207,7 @@ pub fn on_off_primes(f: &TruthTable) -> (Vec<Cube>, Vec<Cube>) {
 /// Every on-set minterm ends up covered; don't-care minterms may or may
 /// not be. The selection is heuristic (greedy), as in classical two-level
 /// minimizers; the result is irredundant with respect to single-cube
-/// removal.
+/// removal. See the module docs for how it runs on bitsets.
 ///
 /// # Panics
 ///
@@ -201,86 +215,126 @@ pub fn on_off_primes(f: &TruthTable) -> (Vec<Cube>, Vec<Cube>) {
 /// when produced by [`prime_implicants`] of the same function).
 pub fn select_cover(on: &TruthTable, primes: &[Cube]) -> Sop {
     let n = on.num_vars();
-    let minterms: Vec<u64> = on.minterms().collect();
-    if minterms.is_empty() {
+    if on.is_zero() {
         return Sop::zero(n);
     }
+    let rows = Rows::new(on, primes);
 
-    // Coverage matrix: for each on-set minterm, which primes cover it.
-    let mut covering: Vec<Vec<usize>> = vec![Vec::new(); minterms.len()];
-    for (pi, p) in primes.iter().enumerate() {
-        for (mi, &m) in minterms.iter().enumerate() {
-            if p.eval(m) {
-                covering[mi].push(pi);
-            }
-        }
-    }
-    for (mi, cov) in covering.iter().enumerate() {
-        assert!(
-            !cov.is_empty(),
-            "prime set does not cover on-set minterm {}",
-            minterms[mi]
-        );
-    }
-
-    let mut selected: HashSet<usize> = HashSet::new();
-    let mut uncovered: HashSet<usize> = (0..minterms.len()).collect();
-
-    // Essential primes first: minterms covered by exactly one prime.
-    for cov in &covering {
-        if cov.len() == 1 {
-            selected.insert(cov[0]);
-        }
-    }
-    uncovered.retain(|&mi| !covering[mi].iter().any(|pi| selected.contains(pi)));
-
-    // Greedy set cover for the rest.
-    while !uncovered.is_empty() {
-        let mut best = usize::MAX;
-        let mut best_gain = 0usize;
-        let mut gains: HashMap<usize, usize> = HashMap::new();
-        for &mi in &uncovered {
-            for &pi in &covering[mi] {
-                *gains.entry(pi).or_insert(0) += 1;
-            }
-        }
-        for (&pi, &gain) in &gains {
-            // Tie-break toward fewer literals, then stable by index.
-            if gain > best_gain
-                || (gain == best_gain
-                    && best != usize::MAX
-                    && (primes[pi].literal_count(), pi)
-                        < (primes[best].literal_count(), best))
-            {
-                best = pi;
-                best_gain = gain;
-            }
-        }
-        selected.insert(best);
-        uncovered.retain(|&mi| !covering[mi].contains(&best));
+    // Essential primes first: those covering a minterm no other prime
+    // covers.
+    let (once, twice) = rows.coverage(0..primes.len());
+    let missed = on.words().iter().zip(&once).enumerate().find_map(|(i, (&w, &o))| {
+        let miss = w & !o;
+        (miss != 0).then(|| (i as u64) << 6 | u64::from(miss.trailing_zeros()))
+    });
+    assert!(missed.is_none(), "prime set does not cover on-set minterm {missed:?}");
+    let mut selected: Vec<bool> = (0..primes.len())
+        .map(|p| rows.row(p).iter().any(|&(i, w)| w & once[i] & !twice[i] != 0))
+        .collect();
+    let mut uncovered = on.words().to_vec();
+    for p in (0..primes.len()).filter(|&p| selected[p]) {
+        rows.clear(p, &mut uncovered);
     }
 
-    // Irredundancy pass: drop any selected prime whose on-set minterms are
-    // all covered by the others.
-    let mut chosen: Vec<usize> = selected.into_iter().collect();
-    chosen.sort_unstable();
+    // Greedy set cover for the rest: the prime covering the most
+    // uncovered minterms, ties to fewer literals, then to the lower
+    // index. Stored gains only overestimate, so a popped prime whose gain
+    // is still current is that argmax.
+    let mut remaining: u64 = uncovered.iter().map(|w| u64::from(w.count_ones())).sum();
+    let mut heap: BinaryHeap<(u64, Reverse<(u32, usize)>)> = (0..primes.len())
+        .filter(|&p| !selected[p])
+        .map(|p| (rows.gain(p, &uncovered), Reverse((primes[p].literal_count(), p))))
+        .filter(|&(gain, _)| gain > 0)
+        .collect();
+    while remaining > 0 {
+        let Some((gain, Reverse((literals, p)))) = heap.pop() else { break };
+        let fresh = rows.gain(p, &uncovered);
+        if fresh == gain {
+            selected[p] = true;
+            rows.clear(p, &mut uncovered);
+            remaining -= gain;
+        } else if fresh > 0 {
+            heap.push((fresh, Reverse((literals, p))));
+        }
+    }
+
+    // Irredundancy pass, in ascending index order: drop any selected
+    // prime whose on-set minterms are all covered by the others, i.e.
+    // covered at least twice.
+    let mut chosen: Vec<usize> = (0..primes.len()).filter(|&p| selected[p]).collect();
+    let mut twice = rows.coverage(chosen.iter().copied()).1;
     let mut i = 0;
     while i < chosen.len() {
-        let pi = chosen[i];
-        let redundant = minterms.iter().enumerate().all(|(mi, _)| {
-            !covering[mi].contains(&pi)
-                || covering[mi].iter().any(|&qj| qj != pi && chosen.contains(&qj))
-        });
-        if redundant {
+        if rows.row(chosen[i]).iter().all(|&(j, w)| w & !twice[j] == 0) {
             chosen.remove(i);
+            twice = rows.coverage(chosen.iter().copied()).1;
         } else {
             i += 1;
         }
     }
 
-    let mut sop = Sop::from_cubes(n, chosen.into_iter().map(|pi| primes[pi]).collect());
+    let mut sop = Sop::from_cubes(n, chosen.into_iter().map(|p| primes[p]).collect());
     sop.sort_by_literal_count();
     sop
+}
+
+/// The on-set minterms each prime covers, as sparse bitset rows over the
+/// on-set's words: row `p` lists `(word index, bits)` for the nonzero
+/// words of `p ∩ on`, in ascending word order.
+struct Rows {
+    entries: Vec<(usize, u64)>,
+    start: Vec<usize>,
+    words: usize,
+}
+
+impl Rows {
+    fn new(on: &TruthTable, primes: &[Cube]) -> Self {
+        let n = on.num_vars();
+        let mut entries = Vec::new();
+        let mut start = Vec::with_capacity(primes.len() + 1);
+        start.push(0);
+        for p in primes {
+            // As in `Cube::eval`, a positive literal on a variable past
+            // the table holds on no minterm; a negative one always holds.
+            if p.value() >> n == 0 {
+                entries.extend(cube_words(n, p).filter_map(|(i, pattern)| {
+                    let w = pattern & on.words()[i];
+                    (w != 0).then_some((i, w))
+                }));
+            }
+            start.push(entries.len());
+        }
+        Rows { entries, start, words: on.words().len() }
+    }
+
+    fn row(&self, p: usize) -> &[(usize, u64)] {
+        &self.entries[self.start[p]..self.start[p + 1]]
+    }
+
+    /// Number of `uncovered` minterms row `p` covers.
+    fn gain(&self, p: usize, uncovered: &[u64]) -> u64 {
+        self.row(p).iter().map(|&(i, w)| u64::from((w & uncovered[i]).count_ones())).sum()
+    }
+
+    /// Removes row `p`'s minterms from `uncovered`.
+    fn clear(&self, p: usize, uncovered: &mut [u64]) {
+        for &(i, w) in self.row(p) {
+            uncovered[i] &= !w;
+        }
+    }
+
+    /// The minterms the given rows cover at least once and at least
+    /// twice.
+    fn coverage(&self, rows: impl Iterator<Item = usize>) -> (Vec<u64>, Vec<u64>) {
+        let (mut once, mut twice) = (vec![0; self.words], vec![0; self.words]);
+        for p in rows {
+            for &(i, w) in self.row(p) {
+                twice[i] |= once[i] & w;
+                once[i] |= w;
+            }
+        }
+        (once, twice)
+    }
 }
 
 /// Exact-prime, greedy-cover two-level minimization of an incompletely

@@ -6,6 +6,17 @@
 //! collapse*: every gate becomes an SOP node, then single-fanout nodes
 //! are greedily inlined into their reader while the combined support
 //! stays within the requested bound.
+//!
+//! A merge composes truth tables by variable embedding. The merged
+//! boundary is the reader's boundary without the absorbed pin, followed
+//! by the absorbed node's nets it does not already hold. The reader's
+//! two cofactors on the pin, `O₀` and `O₁`, are projected off the pin
+//! and embedded into that boundary; the absorbed node's table `I` is
+//! embedded by its nets' places. The merged table is the mux on the
+//! absorbed function, `I·O₁ + ¬I·O₀`, computed a word at a time. No
+//! intermediate table is wider than the merged boundary, so the bound
+//! may be [`tm_logic::tt::MAX_TT_VARS`] itself. A node's unused inputs
+//! are then dropped by projecting its table onto its support.
 
 use crate::netlist::{Driver, Netlist};
 use crate::sop_network::{SigId, SopNetwork};
@@ -117,7 +128,8 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
         // Greedy inlining: repeatedly absorb an eligible boundary net.
         loop {
             let mut absorbed = false;
-            for (pos, &net) in cluster.boundary.clone().iter().enumerate() {
+            for pos in 0..cluster.boundary.len() {
+                let net = cluster.boundary[pos];
                 let eligible = matches!(netlist.driver(net), Driver::Gate(_))
                     && fanout[net.index()] == 1
                     && !is_output[net.index()]
@@ -142,42 +154,15 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
                 if merged.len() > k {
                     continue;
                 }
-                // Positions of the outer boundary nets inside `merged`.
-                let outer_pos_map: Vec<usize> = cluster
-                    .boundary
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ob)| {
-                        if i == pos {
-                            usize::MAX // replaced by inner function
-                        } else {
-                            merged.iter().position(|&b| b == ob).expect("kept net")
-                        }
-                    })
-                    .collect();
-                let inner_tt = inner.tt.clone();
-                let outer_tt = cluster.tt.clone();
-                let new_tt = TruthTable::from_fn(merged.len(), |m| {
-                    let mut inner_m = 0u64;
-                    for (ip, &mp) in inner_pos_map.iter().enumerate() {
-                        if (m >> mp) & 1 == 1 {
-                            inner_m |= 1 << ip;
-                        }
-                    }
-                    let inner_val = inner_tt.eval(inner_m);
-                    let mut outer_m = 0u64;
-                    for (op, &mp) in outer_pos_map.iter().enumerate() {
-                        let bit = if mp == usize::MAX {
-                            inner_val
-                        } else {
-                            (m >> mp) & 1 == 1
-                        };
-                        if bit {
-                            outer_m |= 1 << op;
-                        }
-                    }
-                    outer_tt.eval(outer_m)
+                // The outer boundary without the pin is the prefix of
+                // `merged`, so the cofactors embed by the identity.
+                let rest: Vec<usize> = (0..cluster.boundary.len()).filter(|&i| i != pos).collect();
+                let identity: Vec<usize> = (0..rest.len()).collect();
+                let [o0, o1] = [false, true].map(|value| {
+                    cluster.tt.cofactor(pos, value).project(&rest).embed(merged.len(), &identity)
                 });
+                let i = inner.tt.embed(merged.len(), &inner_pos_map);
+                let new_tt = &(&i & &o1) | &(&!&i & &o0);
                 cluster = Cluster { boundary: merged, tt: new_tt };
                 absorbed = true;
                 break;
@@ -191,16 +176,7 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
         let support = cluster.tt.support();
         if support.len() != cluster.boundary.len() {
             let kept: Vec<NetId> = support.iter().map(|&p| cluster.boundary[p]).collect();
-            let tt = TruthTable::from_fn(kept.len(), |m| {
-                let mut full = 0u64;
-                for (new_pos, &old_pos) in support.iter().enumerate() {
-                    if (m >> new_pos) & 1 == 1 {
-                        full |= 1 << old_pos;
-                    }
-                }
-                cluster.tt.eval(full)
-            });
-            cluster = Cluster { boundary: kept, tt };
+            cluster = Cluster { boundary: kept, tt: cluster.tt.project(&support) };
         }
 
         clusters.insert(gate.output(), cluster);
@@ -363,5 +339,43 @@ mod tests {
         for sig in net.node_sigs() {
             assert!(net.node_of(sig).unwrap().inputs().len() <= 4);
         }
+    }
+
+    /// A single-fanout chain over 31 inputs at the widest bound: each
+    /// step ANDs the chain with an OR of two fresh inputs, so merges
+    /// reach exactly `MAX_TT_VARS` inputs before the bound stops them.
+    /// Nothing may panic, and the function must survive. It is checked on
+    /// seeded random vectors, as 2^31 assignments are too many; inputs
+    /// are 1 with probability 7/8, so the output takes both values. (A
+    /// product of sums keeps the 20-input node's on-set sparse, and its
+    /// minimization quick in a debug build.)
+    #[test]
+    fn widest_bound_collapses_a_wide_chain_without_changing_it() {
+        let lib = lib();
+        let mut nl = Netlist::new("wide", lib.clone());
+        let inputs: Vec<_> = (0..31).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let mut acc = inputs[0];
+        for (i, pair) in inputs[1..].chunks(2).enumerate() {
+            let sum = nl.add_gate(lib.expect("OR2"), pair, format!("l{i}"));
+            acc = nl.add_gate(lib.expect("AND2"), &[acc, sum], format!("s{i}"));
+        }
+        nl.mark_output(acc);
+        let k = tm_logic::tt::MAX_TT_VARS;
+        let net = extract(&nl, ExtractOptions { max_support: k });
+        let widest = net.node_sigs().into_iter().map(|s| net.node_of(s).unwrap().inputs().len()).max();
+        assert_eq!(widest, Some(k));
+        let (mut state, mut ones) = (0x5eed_u64, 0);
+        for _ in 0..256 {
+            let mut draw = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let (b0, b1, b2) = (draw(), draw(), draw());
+            let a: Vec<bool> = (0..31).map(|i| (b0 | b1 | b2) >> i & 1 == 1).collect();
+            let out = nl.eval(&a);
+            ones += usize::from(out[0]);
+            assert_eq!(out, net.eval(&a));
+        }
+        assert!((32..224).contains(&ones), "unbalanced output: {ones} ones");
     }
 }

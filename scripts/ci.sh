@@ -83,7 +83,7 @@ cargo build --release --offline --workspace --all-targets
 echo "== offline workspace tests =="
 cargo test -q --offline --workspace
 
-echo "== prime-generation differential (every Table 2 node table) =="
+echo "== two-level differential (primes + covers) =="
 cargo test --release --offline -p tm-logic -- --ignored
 
 echo "== table1 telemetry smoke + schema validation =="
