@@ -11,16 +11,12 @@
 //!    (near) zero slack it dies of the same wearout as the original.
 //!
 //! Run with: `cargo run -p tm-bench --release --bin ablations`
+//! (`tests/replay_claims.rs` asserts the numbers of ablation 4).
 
-use tm_bench::harness_library;
-use tm_masking::{
-    duplication_masking, inject_and_measure, synthesize, uniform_aging, CubeSelection,
-    MaskingOptions,
-};
+use tm_bench::{harness_library, run_duplication_row};
+use tm_masking::{synthesize, CubeSelection, MaskingOptions};
 use tm_netlist::extract::ExtractOptions;
 use tm_netlist::suites::smoke_suite;
-use tm_sim::patterns::random_vectors;
-use tm_sta::Sta;
 
 fn main() {
     let lib = harness_library();
@@ -73,25 +69,16 @@ fn main() {
         "circuit", "dup slack%", "proposed slack%", "dup escapes(aged)", "proposed escapes"
     );
     for nl in &circuits {
-        let dup = duplication_masking(nl, base);
-        let proposed = synthesize(nl, base);
-        let clock = Sta::new(nl).critical_path_delay();
-        let vectors = random_vectors(nl.inputs().len(), 400, 7);
-        let dup_scale = uniform_aging(&dup.design, 1.08).expect("valid factor");
-        let dup_out = inject_and_measure(&dup.design, &dup_scale, clock, &vectors)
-            .expect("valid run");
-        let prop_scale = uniform_aging(&proposed.design, 1.08).expect("valid factor");
-        let prop_out = inject_and_measure(&proposed.design, &prop_scale, clock, &vectors)
-            .expect("valid run");
+        let row = run_duplication_row(nl, base);
         println!(
             "{:<12} {:>13.1}% {:>14.1}% {:>12}/{:<5} {:>12}/{:<5}",
             nl.name(),
-            dup.report.slack_percent,
-            proposed.report.slack_percent,
-            dup_out.masked_errors,
-            dup_out.raw_errors,
-            prop_out.masked_errors,
-            prop_out.raw_errors,
+            row.dup_slack_percent,
+            row.proposed_slack_percent,
+            row.dup.masked_errors,
+            row.dup.raw_errors,
+            row.proposed.masked_errors,
+            row.proposed.raw_errors,
         );
     }
     println!("\n(duplication masks in the functional domain but shares the original's");

@@ -9,23 +9,16 @@
 //!    log.
 //!
 //! Run with: `cargo run -p tm-bench --release --bin extensions`
+//! (`tests/replay_claims.rs` asserts the numbers of extensions 1 and 3).
 
-use tm_bench::harness_library;
-use tm_masking::{inject_and_measure, speedpath_patterns, synthesize, MaskingOptions};
-use tm_monitor::bias::{unadapted_run, AdaptiveBiasController};
-use tm_monitor::dvs::DvsExplorer;
+use tm_bench::{harness_library, ExtensionBench};
+use tm_masking::inject_and_measure;
 use tm_monitor::razor::RazorModel;
-use tm_netlist::generate::{generate, GeneratorSpec};
-use tm_sim::aging::AgingModel;
-use tm_sim::patterns::random_vectors;
-use tm_sta::Sta;
 
 fn main() {
-    let lib = harness_library();
-    let spec = GeneratorSpec::sized("ext_ctrl", 32, 12, 200);
-    let circuit = generate(&spec, lib);
-    let result = synthesize(&circuit, MaskingOptions::default());
-    let clock = Sta::new(&circuit).critical_path_delay();
+    let bench = ExtensionBench::new(harness_library());
+    let ExtensionBench { circuit, result, clock, workload } = &bench;
+    let clock = *clock;
     println!(
         "circuit: {} ({} gates), masking slack {:.1}%, area overhead {:.1}%",
         circuit.name(),
@@ -34,18 +27,9 @@ fn main() {
         result.report.area_overhead_percent
     );
 
-    // Workload: random vectors salted with SPCF-drawn speed-path
-    // patterns, so the speed-paths are actually exercised.
-    let mut workload = random_vectors(circuit.inputs().len(), 1200, 0xD5);
-    for (k, s) in speedpath_patterns(&result, 300, 0x5A).into_iter().enumerate() {
-        let pos = (k * 4 + 1) % workload.len();
-        workload.insert(pos, s);
-    }
-
     // ---------------------------------------------------------------
     println!("\n== Extension 1: aggressive DVS by masking timing errors (paper §6) ==");
-    let explorer = DvsExplorer { v_min: 0.82, v_step: 0.01, ..Default::default() };
-    let sweep = explorer.sweep(&result.design, &workload).expect("valid sweep");
+    let (explorer, sweep) = bench.dvs();
     println!("  vdd    delay×   energy×   raw errs   escapes");
     for p in sweep.points.iter().step_by(2) {
         println!(
@@ -72,10 +56,9 @@ fn main() {
     println!("  aging   razor detected  razor SILENT  razor throughput | masked escapes  masking throughput");
     for pct in [0u32, 4, 8, 12, 20, 30] {
         let factor = 1.0 + pct as f64 / 100.0;
-        let r = razor.evaluate(&circuit, &vec![factor; circuit.num_gates()], clock, &workload);
+        let r = razor.evaluate(circuit, &vec![factor; circuit.num_gates()], clock, workload);
         let scale = vec![factor; result.design.combined.num_gates()];
-        let m = inject_and_measure(&result.design, &scale, clock, &workload)
-            .expect("valid run");
+        let m = inject_and_measure(&result.design, &scale, clock, workload).expect("valid run");
         println!(
             "  {:>4}%   {:>14} {:>13} {:>17.3} | {:>14}  {:>17.3}",
             pct,
@@ -92,11 +75,7 @@ fn main() {
 
     // ---------------------------------------------------------------
     println!("\n== Extension 3: adaptive body-bias speed-up of critical gates (paper §6) ==");
-    let model = AgingModel { jitter: 0.0, ..AgingModel::default() };
-    let controller = AdaptiveBiasController::default();
-    let epoch_workload: Vec<Vec<bool>> = workload.iter().take(500).cloned().collect();
-    let adapted = controller.run(&result.design, &model, 8, 0.9, &epoch_workload);
-    let frozen = unadapted_run(&result.design, &model, 8, 0.9, &epoch_workload);
+    let (adapted, frozen) = bench.body_bias();
     println!("  epoch  stress  adapted: bias/errors    frozen: errors");
     for (a, f) in adapted.epochs.iter().zip(&frozen.epochs) {
         println!(

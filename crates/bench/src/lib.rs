@@ -13,8 +13,10 @@
 //! Performance is measured in two places only. The `perfbench` package
 //! times four seeded workloads end to end and per layer. The tests
 //! under `tests/` pin exact work counts (`work_counts`, which also
-//! asserts the Table 1 claims) and bound the cost of dormant
-//! instrumentation with a paired in-process A/B (`dormant_sites`).
+//! asserts the Table 1 claims; `table2_claims` and `replay_claims`
+//! assert Table 2, Ablation 4 and extensions 1 and 3) and bound the
+//! cost of dormant instrumentation with a paired in-process A/B
+//! (`dormant_sites`).
 //! Every workload is deterministic: the suite circuits are seeded
 //! stand-ins for the paper's benchmarks (see `DESIGN.md` §3).
 
@@ -24,9 +26,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tm_logic::Bdd;
-use tm_masking::{synthesize, verify, MaskingOptions, MaskingResult};
+use tm_masking::{
+    duplication_masking, inject_and_measure, speedpath_patterns, synthesize, uniform_aging,
+    verify, InjectionOutcome, MaskingOptions, MaskingResult,
+};
+use tm_monitor::bias::{unadapted_run, AdaptiveBiasController, BiasRun};
+use tm_monitor::dvs::{DvsExplorer, DvsSweep};
+use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::{lsi10k_like, Library};
 use tm_netlist::suites::SuiteEntry;
+use tm_netlist::{Delay, Netlist};
 use tm_resilience::Budget;
 use tm_spcf::{Algorithm, WarmSession};
 use tm_sta::Sta;
@@ -106,6 +115,91 @@ pub fn run_table2_row(entry: &SuiteEntry, library: Arc<Library>) -> Table2Row {
         coverage: verdict.coverage(),
         verified: verdict.all_ok(),
         result,
+    }
+}
+
+/// Ablation 4 on one circuit: the top-down duplication baseline and the
+/// proposed masking, each replayed under 8 % common-mode aging.
+#[derive(Debug)]
+pub struct DuplicationRow {
+    /// Slack of the duplicated masking logic, in percent.
+    pub dup_slack_percent: f64,
+    /// Slack of the proposed masking circuit, in percent.
+    pub proposed_slack_percent: f64,
+    /// The duplication baseline's replay.
+    pub dup: InjectionOutcome,
+    /// The proposed masking's replay.
+    pub proposed: InjectionOutcome,
+}
+
+/// Runs Ablation 4 on `nl`: 400 random vectors (seed 7) clocked at the
+/// original `Δ`, every gate aged by 8 %.
+pub fn run_duplication_row(nl: &Netlist, options: MaskingOptions) -> DuplicationRow {
+    let dup = duplication_masking(nl, options);
+    let proposed = synthesize(nl, options);
+    let clock = Sta::new(nl).critical_path_delay();
+    let vectors = tm_sim::patterns::random_vectors(nl.inputs().len(), 400, 7);
+    let replay = |r: &MaskingResult| {
+        let scale = uniform_aging(&r.design, 1.08).expect("valid factor");
+        inject_and_measure(&r.design, &scale, clock, &vectors).expect("valid run")
+    };
+    DuplicationRow {
+        dup_slack_percent: dup.report.slack_percent,
+        proposed_slack_percent: proposed.report.slack_percent,
+        dup: replay(&dup),
+        proposed: replay(&proposed),
+    }
+}
+
+/// The extensions' subject: a masked 200-gate control block and a
+/// random workload salted with SPCF-drawn speed-path patterns, so the
+/// speed-paths are actually exercised.
+#[derive(Debug)]
+pub struct ExtensionBench {
+    /// The original circuit.
+    pub circuit: Netlist,
+    /// Its masking synthesis.
+    pub result: MaskingResult,
+    /// The original `Δ`, the nominal clock.
+    pub clock: Delay,
+    /// 1200 random vectors with 300 speed-path patterns interleaved.
+    pub workload: Vec<Vec<bool>>,
+}
+
+impl ExtensionBench {
+    /// Builds the circuit, its masking and the workload (all seeded).
+    pub fn new(library: Arc<Library>) -> Self {
+        let circuit = generate(&GeneratorSpec::sized("ext_ctrl", 32, 12, 200), library);
+        let result = synthesize(&circuit, MaskingOptions::default());
+        let clock = Sta::new(&circuit).critical_path_delay();
+        let mut workload = tm_sim::patterns::random_vectors(circuit.inputs().len(), 1200, 0xD5);
+        for (k, s) in speedpath_patterns(&result, 300, 0x5A).into_iter().enumerate() {
+            let pos = (k * 4 + 1) % workload.len();
+            workload.insert(pos, s);
+        }
+        ExtensionBench { circuit, result, clock, workload }
+    }
+
+    /// Extension 1: the DVS sweep from 1.00 V down to 0.82 V in 0.01 V
+    /// steps, with the explorer that ran it.
+    pub fn dvs(&self) -> (DvsExplorer, DvsSweep) {
+        let explorer = DvsExplorer { v_min: 0.82, v_step: 0.01, ..Default::default() };
+        let sweep = explorer.sweep(&self.result.design, &self.workload).expect("valid sweep");
+        (explorer, sweep)
+    }
+
+    /// Extension 3: the adaptive body-bias controller and its frozen
+    /// reference over an 8-epoch ramp to stress 0.9, replaying the
+    /// first 500 workload vectors each epoch.
+    pub fn body_bias(&self) -> (BiasRun, BiasRun) {
+        let model = tm_sim::aging::AgingModel { jitter: 0.0, ..Default::default() };
+        let epoch_workload = &self.workload[..500];
+        let design = &self.result.design;
+        let adapted = AdaptiveBiasController::default()
+            .run(design, &model, 8, 0.9, epoch_workload)
+            .expect("valid bias run");
+        let frozen = unadapted_run(design, &model, 8, 0.9, epoch_workload).expect("valid bias run");
+        (adapted, frozen)
     }
 }
 

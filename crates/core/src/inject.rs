@@ -3,19 +3,22 @@
 //! Exact verification shows masking is *logically* sound; this module
 //! shows it *dynamically* works on the simulated silicon: age the
 //! circuit's gates, clock it at the original period, replay a workload
-//! through the event-driven timing simulator, and count (i) raw timing
-//! errors on the unprotected outputs and (ii) errors that survive
-//! masking. With the paper's guarantees, the masked error count is zero
-//! whenever aging stays within the protected band (speed-paths within
+//! through the timing simulator, and count (i) raw timing errors on the
+//! unprotected outputs and (ii) errors that survive masking. With the
+//! paper's guarantees, the masked error count is zero whenever aging
+//! stays within the protected band (speed-paths within
 //! `1 − target_fraction` of `Δ` cover slowdowns up to
 //! `1/target_fraction − 1` ≈ 11 %).
+//!
+//! The replay, its capture rule and its per-cycle classification live
+//! in [`crate::replay`]; [`inject_and_measure`] is one call into it.
 
 use crate::design::MaskedDesign;
+use crate::replay::{check_scale_factor, CaptureModel};
 use tm_netlist::{Delay, Netlist};
-use tm_resilience::{TmError, TmResult};
-use tm_sim::timing::TimingSim;
+use tm_resilience::TmResult;
 
-/// Counters from one injection run.
+/// Counters from one injection run (one replay of the masked design).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InjectionOutcome {
     /// Number of simulated clock cycles (vector transitions).
@@ -28,6 +31,9 @@ pub struct InjectionOutcome {
     /// Cycles where at least one indicator `e` sampled 1 (speed-path
     /// activity).
     pub activations: usize,
+    /// Cycles where the wearout log `e ∧ (y ⊕ ỹ)` fired on at least one
+    /// output (paper §2.1).
+    pub detected_errors: usize,
 }
 
 impl InjectionOutcome {
@@ -46,17 +52,6 @@ impl InjectionOutcome {
     }
 }
 
-/// Validates a per-gate delay scale factor: aging can only be a finite,
-/// positive multiplier.
-fn check_scale_factor(factor: f64) -> TmResult<()> {
-    if !factor.is_finite() || factor <= 0.0 {
-        return Err(TmError::invalid_input(format!(
-            "aging factor must be finite and positive, got {factor}"
-        )));
-    }
-    Ok(())
-}
-
 /// Builds per-gate delay scale factors for the *combined* netlist that
 /// age every gate of the design by `factor` (original, masking and MUX
 /// gates alike — the masking circuit's ≥ 20 % slack is what lets it ride
@@ -64,8 +59,8 @@ fn check_scale_factor(factor: f64) -> TmResult<()> {
 ///
 /// # Errors
 ///
-/// Returns [`TmError`] when `factor` is non-finite (NaN, ±∞) or not
-/// positive.
+/// Returns [`TmError`](tm_resilience::TmError) when `factor` is
+/// non-finite (NaN, ±∞) or not positive.
 pub fn uniform_aging(design: &MaskedDesign, factor: f64) -> TmResult<Vec<f64>> {
     check_scale_factor(factor)?;
     Ok(vec![factor; design.combined.num_gates()])
@@ -76,8 +71,8 @@ pub fn uniform_aging(design: &MaskedDesign, factor: f64) -> TmResult<Vec<f64>> {
 ///
 /// # Errors
 ///
-/// Returns [`TmError`] when `factor` is non-finite (NaN, ±∞) or not
-/// positive.
+/// Returns [`TmError`](tm_resilience::TmError) when `factor` is
+/// non-finite (NaN, ±∞) or not positive.
 pub fn original_only_aging(design: &MaskedDesign, factor: f64) -> TmResult<Vec<f64>> {
     check_scale_factor(factor)?;
     let (orig, _mask, _mux) = design.combined_partition();
@@ -88,87 +83,22 @@ pub fn original_only_aging(design: &MaskedDesign, factor: f64) -> TmResult<Vec<f
 
 /// Replays `vectors` as consecutive clock cycles of period `clock`
 /// through the aged combined netlist and counts raw vs masked timing
-/// errors. Fewer than two vectors means zero cycles: the outcome is
-/// all-zero counters (and `masking_effectiveness()` of 1.0), not an
-/// error.
+/// errors ([`CaptureModel::replay`]). Fewer than two vectors means zero
+/// cycles: the outcome is all-zero counters (and
+/// `masking_effectiveness()` of 1.0), not an error.
 ///
 /// # Errors
 ///
-/// Returns [`TmError`] when `scale` does not have one finite positive
-/// entry per combined-netlist gate, or a vector's arity differs from
-/// the input count.
+/// Returns [`TmError`](tm_resilience::TmError) when `scale` does not
+/// have one finite positive entry per combined-netlist gate, or a
+/// vector's arity differs from the input count.
 pub fn inject_and_measure(
     design: &MaskedDesign,
     scale: &[f64],
     clock: Delay,
     vectors: &[Vec<bool>],
 ) -> TmResult<InjectionOutcome> {
-    let (instrumented, probes) = design.instrumented();
-    // The instrumented netlist has the same gates as the combined one.
-    if scale.len() != instrumented.num_gates() {
-        return Err(TmError::invalid_input(format!(
-            "one scale factor per gate: got {}, netlist has {}",
-            scale.len(),
-            instrumented.num_gates()
-        )));
-    }
-    for &f in scale {
-        check_scale_factor(f)?;
-    }
-    let arity = instrumented.inputs().len();
-    if let Some(bad) = vectors.iter().find(|v| v.len() != arity) {
-        return Err(TmError::invalid_input(format!(
-            "workload vector arity {} does not match {} primary inputs",
-            bad.len(),
-            arity
-        )));
-    }
-    let sim = TimingSim::with_scale(&instrumented, scale.to_vec());
-
-    // The MUXed outputs are captured one (aged) MUX delay after the
-    // nominal edge — the mux sits inside the capture stage, the
-    // "marginal, quantifiable impact" the paper compensates during
-    // synthesis. Everything else samples at the nominal clock.
-    let lib = instrumented.library().clone();
-    let mut sample_times = vec![clock; instrumented.outputs().len()];
-    for p in design.protected.iter() {
-        let masked_net = p.masked;
-        if let tm_netlist::Driver::Gate(mux) = instrumented.driver(masked_net) {
-            let cell = lib.cell(instrumented.gate(mux).cell());
-            let mux_delay = cell.max_delay() * scale[mux.index()];
-            sample_times[p.position] = clock + mux_delay;
-        }
-    }
-
-    let mut outcome = InjectionOutcome::default();
-    for pair in vectors.windows(2) {
-        let r = sim.transition_with_sample_times(&pair[0], &pair[1], &sample_times);
-        outcome.cycles += 1;
-        let mut raw_bad = false;
-        let mut masked_bad = false;
-        let mut activated = false;
-        for p in &probes {
-            if r.sampled[p.raw_position] != r.settled[p.raw_position] {
-                raw_bad = true;
-            }
-            if r.sampled[p.masked_position] != r.settled[p.masked_position] {
-                masked_bad = true;
-            }
-            if r.sampled[p.e_position] {
-                activated = true;
-            }
-        }
-        if raw_bad {
-            outcome.raw_errors += 1;
-        }
-        if masked_bad {
-            outcome.masked_errors += 1;
-        }
-        if activated {
-            outcome.activations += 1;
-        }
-    }
-    Ok(outcome)
+    CaptureModel::new(design).replay(scale, clock, vectors)
 }
 
 /// Convenience: the instrumented netlist used by
@@ -311,7 +241,13 @@ mod tests {
 
     #[test]
     fn effectiveness_clamps_to_unit_interval() {
-        let more_masked = InjectionOutcome { cycles: 10, raw_errors: 1, masked_errors: 3, activations: 3 };
+        let more_masked = InjectionOutcome {
+            cycles: 10,
+            raw_errors: 1,
+            masked_errors: 3,
+            activations: 3,
+            detected_errors: 0,
+        };
         assert_eq!(more_masked.masking_effectiveness(), 0.0);
         let clean = InjectionOutcome::default();
         assert_eq!(clean.masking_effectiveness(), 1.0);

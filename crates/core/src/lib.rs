@@ -20,6 +20,9 @@
 //! - [`inject`] — dynamic demonstration: age the gates, clock at the
 //!   original period, and watch raw errors appear while masked outputs
 //!   stay clean.
+//! - [`replay`] — the one replay of the masked design every dynamic
+//!   experiment shares: the MUX capture rule, the per-cycle probe
+//!   classifier and the speed-path stress map.
 //!
 //! # Example
 //!
@@ -42,6 +45,7 @@ pub mod ablation;
 pub mod design;
 pub mod inject;
 pub mod options;
+pub mod replay;
 pub mod report;
 pub mod synth;
 pub mod verify;
@@ -50,6 +54,7 @@ pub use ablation::duplication_masking;
 pub use design::{MaskedDesign, ProbeTriple, ProtectedOutput};
 pub use inject::{inject_and_measure, original_only_aging, speedpath_patterns, uniform_aging, InjectionOutcome};
 pub use options::{CubeSelection, MaskingOptions};
+pub use replay::{check_stress_ramp, ramp_stress, speedpath_stress_map, CaptureModel, ProbeWords};
 pub use report::MaskingReport;
 pub use synth::{synthesize, synthesize_sweep, DegradationLevel, MaskingResult, SweepPoint};
 pub use verify::{verify, OutputVerdict, VerificationReport};

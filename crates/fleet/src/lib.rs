@@ -55,15 +55,14 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use tm_masking::{MaskedDesign, ProbeTriple};
+use tm_masking::{ramp_stress, speedpath_stress_map, CaptureModel, MaskedDesign};
 use tm_monitor::wearout::{EpochStats, WearoutAssessment, WearoutPredictor};
-use tm_netlist::{Delay, Netlist};
+use tm_netlist::Delay;
 use tm_resilience::{TmError, TmResult};
 use tm_sim::aging::AgingModel;
 use tm_sim::func::PatternBlock;
 use tm_sim::packed::PackedTimingSim;
 use tm_sim::timing::TimingSim;
-use tm_sta::Sta;
 use tm_telemetry::Digest;
 use tm_testkit::rng::{fnv1a64, Rng};
 
@@ -286,8 +285,8 @@ struct ShardOut {
 
 /// Everything epoch workers read (immutable per run).
 struct FleetPlan {
-    instrumented: Netlist,
-    probes: Vec<ProbeTriple>,
+    /// The instrumented design, its capture rule and probe classifier.
+    capture: CaptureModel,
     /// Per class: per-gate delay scale factors.
     scales: Vec<Vec<f64>>,
     /// Per class: per-output sample times at the nominal clock.
@@ -355,22 +354,15 @@ impl FleetSim {
             )));
         }
 
-        let sta = Sta::new(&design.original);
-        let delta = sta.critical_path_delay();
-        let clock = config.clock.unwrap_or(delta);
-        let orig_critical = sta.critical_gates(delta * 0.9);
-
-        let (instrumented, probes) = design.instrumented();
-        if instrumented.inputs().len() > 64 {
+        let capture = CaptureModel::new(design);
+        let num_inputs = capture.netlist().inputs().len();
+        if num_inputs > 64 {
             return Err(TmError::invalid_input(format!(
-                "fleet lanes need <= 64 inputs, design has {}",
-                instrumented.inputs().len()
+                "fleet lanes need <= 64 inputs, design has {num_inputs}"
             )));
         }
-        let (orig_range, _, _) = design.combined_partition();
-        let stressed: Vec<bool> = (0..instrumented.num_gates())
-            .map(|g| orig_range.contains(&g) && orig_critical.get(g).copied().unwrap_or(false))
-            .collect();
+        let (delta, stressed) = speedpath_stress_map(design);
+        let clock = config.clock.unwrap_or(delta);
 
         // The class grid spans the whole reachable per-chip stress
         // range (ramp × fastest rate).
@@ -386,22 +378,14 @@ impl FleetSim {
             })
             .collect();
 
-        let lib = instrumented.library().clone();
         let mut scales = Vec::with_capacity(classes);
         let mut sample_times = Vec::with_capacity(classes);
         let mut dvs_times = Vec::with_capacity(classes);
         for &stress in &class_stress {
             // The aging model extrapolates up to 2× end-of-life; clamp
             // the top classes of aggressive ramps into its domain.
-            let scale = config.model.scale_factors(&instrumented, &stressed, stress.min(2.0));
-            let mut times = vec![clock; instrumented.outputs().len()];
-            for p in &design.protected {
-                if let tm_netlist::Driver::Gate(mux) = instrumented.driver(p.masked) {
-                    let d =
-                        lib.cell(instrumented.gate(mux).cell()).max_delay() * scale[mux.index()];
-                    times[p.position] = clock + d;
-                }
-            }
+            let scale = config.model.scale_factors(capture.netlist(), &stressed, stress.min(2.0));
+            let times = capture.sample_times(&scale, clock);
             let stretched: Vec<Delay> = times.iter().map(|&t| t * config.dvs_stretch).collect();
             scales.push(scale);
             sample_times.push(times);
@@ -411,8 +395,7 @@ impl FleetSim {
         Ok(FleetSim {
             config: config.clone(),
             plan: FleetPlan {
-                instrumented,
-                probes,
+                capture,
                 scales,
                 sample_times,
                 dvs_times,
@@ -567,12 +550,7 @@ fn chip_seed(config: &FleetConfig, chip_id: u64) -> u64 {
 fn chip_class(plan: &FleetPlan, config: &FleetConfig, epoch: usize, chip_id: u64) -> usize {
     let mut rng = Rng::seed_from_u64(chip_seed(config, chip_id) ^ fnv1a64(b"aging"));
     let rate = RATE_MIN + (RATE_MAX - RATE_MIN) * rng.next_f64();
-    let ramp = if config.epochs == 1 {
-        config.max_stress
-    } else {
-        config.max_stress * epoch as f64 / (config.epochs - 1) as f64
-    };
-    let stress = ramp * rate;
+    let stress = ramp_stress(config.max_stress, epoch, config.epochs) * rate;
     let classes = plan.class_stress.len();
     if classes == 1 {
         return 0;
@@ -669,7 +647,8 @@ fn shard_epoch(
         );
         let mut agg = ShardAggregate::empty(epoch, config.delay_classes);
         let cycles = config.cycles_per_epoch;
-        let num_inputs = plan.instrumented.inputs().len();
+        let netlist = plan.capture.netlist();
+        let num_inputs = netlist.inputs().len();
 
         // Group chips by (class, flagged): one compiled schedule and
         // one sample-time vector per group. BTreeMap keeps worker-local
@@ -686,8 +665,7 @@ fn shard_epoch(
                 if *flagged { &plan.dvs_times[*class] } else { &plan.sample_times[*class] };
             match config.kernel {
                 FleetKernel::Packed => {
-                    let sim =
-                        PackedTimingSim::with_scale(&plan.instrumented, &plan.scales[*class]);
+                    let sim = PackedTimingSim::with_scale(netlist, &plan.scales[*class]);
                     for block in members.chunks(64) {
                         let lanes = block.len();
                         let words: Vec<Vec<u64>> = block
@@ -716,21 +694,10 @@ fn shard_epoch(
                         for t in 0..cycles {
                             let next = step(t + 1);
                             let r = sim.transition_block(&prev, &next, times);
-                            let mut aw = 0u64;
-                            let mut dw = 0u64;
-                            let mut ew = 0u64;
-                            for p in &plan.probes {
-                                let e = r.sampled[p.e_position];
-                                let raw = r.sampled[p.raw_position];
-                                let yt = r.sampled[p.ytilde_position];
-                                aw |= e;
-                                dw |= e & (raw ^ yt); // e ∧ (y ⊕ ỹ)
-                                ew |= r.sampled[p.masked_position]
-                                    ^ r.settled[p.masked_position];
-                            }
-                            add_bits(&mut act, aw);
-                            add_bits(&mut det, dw);
-                            add_bits(&mut esc, ew);
+                            let w = plan.capture.classify(&r);
+                            add_bits(&mut act, w.activations);
+                            add_bits(&mut det, w.detections);
+                            add_bits(&mut esc, w.escapes);
                             prev = next;
                         }
                         for (lane, &i) in block.iter().enumerate() {
@@ -751,8 +718,7 @@ fn shard_epoch(
                     }
                 }
                 FleetKernel::Scalar => {
-                    let sim =
-                        TimingSim::with_scale(&plan.instrumented, plan.scales[*class].clone());
+                    let sim = TimingSim::with_scale(netlist, plan.scales[*class].clone());
                     for &i in members {
                         let chip_id = config.chip_base + (chip_lo + i) as u64;
                         let words = chip_words(config, epoch, chip_id, num_inputs);
@@ -768,7 +734,7 @@ fn shard_epoch(
                             let mut activated = false;
                             let mut detected = false;
                             let mut escaped = false;
-                            for p in &plan.probes {
+                            for p in plan.capture.probes() {
                                 let e = r.sampled[p.e_position];
                                 if e {
                                     activated = true;

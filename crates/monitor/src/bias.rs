@@ -8,11 +8,11 @@
 //! closes the loop: it watches the masked-error rate epoch by epoch and
 //! applies one bias step whenever the rate crosses a threshold — while
 //! the masking circuit guarantees nothing escapes in the meantime.
+//! Each epoch is one [`CaptureModel::replay`] of the biased design.
 
-use tm_masking::MaskedDesign;
+use tm_masking::{check_stress_ramp, ramp_stress, speedpath_stress_map, CaptureModel, MaskedDesign};
+use tm_resilience::{TmError, TmResult};
 use tm_sim::aging::AgingModel;
-use tm_sim::timing::TimingSim;
-use tm_sta::Sta;
 
 /// Configuration of the closed-loop bias controller.
 #[derive(Clone, Copy, Debug)]
@@ -90,10 +90,11 @@ impl AdaptiveBiasController {
     /// workload each epoch, so rate changes reflect aging and bias, not
     /// input drift).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the design is unprotected, the workload has fewer than
-    /// two vectors, or `epochs == 0`.
+    /// Returns [`TmError`] when the design is unprotected, the workload
+    /// has fewer than two vectors or the wrong arity, `epochs == 0`, or
+    /// `max_stress` is outside the aging model's `[0, 2]`.
     pub fn run(
         &self,
         design: &MaskedDesign,
@@ -101,77 +102,41 @@ impl AdaptiveBiasController {
         epochs: usize,
         max_stress: f64,
         workload: &[Vec<bool>],
-    ) -> BiasRun {
-        assert!(design.is_protected(), "bias control needs protected outputs");
-        assert!(workload.len() >= 2 && epochs > 0, "degenerate configuration");
+    ) -> TmResult<BiasRun> {
+        if !design.is_protected() {
+            return Err(TmError::invalid_input("bias control needs protected outputs"));
+        }
+        if workload.len() < 2 || epochs < 1 {
+            return Err(TmError::invalid_input(format!(
+                "degenerate bias run: {epochs} epochs, {} workload vectors (need >= 1 and >= 2)",
+                workload.len()
+            )));
+        }
+        check_stress_ramp(max_stress)?;
 
-        let sta = Sta::new(&design.original);
-        let delta = sta.critical_path_delay();
-        let clock = delta;
-        let orig_critical = sta.critical_gates(delta * 0.9);
-        let (instrumented, probes) = design.instrumented();
-        let (orig_range, _, _) = design.combined_partition();
-        let stressed: Vec<bool> = (0..instrumented.num_gates())
-            .map(|g| orig_range.contains(&g) && orig_critical.get(g).copied().unwrap_or(false))
-            .collect();
-        let lib = instrumented.library().clone();
-
+        let (clock, stressed) = speedpath_stress_map(design);
+        let capture = CaptureModel::new(design);
         let mut bias_steps = 0usize;
         let mut log = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
-            let stress = if epochs == 1 {
-                max_stress
-            } else {
-                max_stress * epoch as f64 / (epochs - 1) as f64
-            };
-            let mut scale = model.scale_factors(&instrumented, &stressed, stress);
+            let stress = ramp_stress(max_stress, epoch, epochs);
+            let mut scale = model.scale_factors(capture.netlist(), &stressed, stress);
             // Forward body bias speeds up exactly the stressed gates.
             let bias = self.speedup_per_step.powi(bias_steps as i32);
-            for (g, s) in scale.iter_mut().enumerate() {
-                if stressed[g] {
+            for (s, &hot) in scale.iter_mut().zip(&stressed) {
+                if hot {
                     *s = (*s * bias).max(0.4);
                 }
             }
-            let sim = TimingSim::with_scale(&instrumented, scale.clone());
-            let mut sample_times = vec![clock; instrumented.outputs().len()];
-            for p in &design.protected {
-                if let tm_netlist::Driver::Gate(mux) = instrumented.driver(p.masked) {
-                    let d =
-                        lib.cell(instrumented.gate(mux).cell()).max_delay() * scale[mux.index()];
-                    sample_times[p.position] = clock + d;
-                }
-            }
-
-            let mut stat = BiasEpoch {
+            let o = capture.replay(&scale, clock, workload)?;
+            let stat = BiasEpoch {
                 epoch,
                 stress,
                 bias_steps,
-                cycles: 0,
-                detected_errors: 0,
-                escapes: 0,
+                cycles: o.cycles,
+                detected_errors: o.detected_errors,
+                escapes: o.masked_errors,
             };
-            for pair in workload.windows(2) {
-                let r = sim.transition_with_sample_times(&pair[0], &pair[1], &sample_times);
-                stat.cycles += 1;
-                let mut detected = false;
-                let mut escaped = false;
-                for p in &probes {
-                    if r.sampled[p.e_position]
-                        && r.sampled[p.raw_position] != r.sampled[p.ytilde_position]
-                    {
-                        detected = true;
-                    }
-                    if r.sampled[p.masked_position] != r.settled[p.masked_position] {
-                        escaped = true;
-                    }
-                }
-                if detected {
-                    stat.detected_errors += 1;
-                }
-                if escaped {
-                    stat.escapes += 1;
-                }
-            }
             let rate = stat.error_rate();
             log.push(stat);
             if rate > self.trigger_rate && bias_steps < self.max_steps {
@@ -179,23 +144,27 @@ impl AdaptiveBiasController {
             }
         }
 
-        BiasRun {
+        Ok(BiasRun {
             epochs: log,
             final_bias_steps: bias_steps,
             leakage_cost: bias_steps as f64 * self.leakage_per_step,
-        }
+        })
     }
 }
 
 /// Reference run with adaptation disabled (max_steps = 0), for
 /// comparisons.
+///
+/// # Errors
+///
+/// Same contract as [`AdaptiveBiasController::run`].
 pub fn unadapted_run(
     design: &MaskedDesign,
     model: &AgingModel,
     epochs: usize,
     max_stress: f64,
     workload: &[Vec<bool>],
-) -> BiasRun {
+) -> TmResult<BiasRun> {
     let controller = AdaptiveBiasController { max_steps: 0, ..Default::default() };
     controller.run(design, model, epochs, max_stress, workload)
 }
@@ -224,8 +193,8 @@ mod tests {
         let (result, workload) = setup();
         let model = AgingModel { jitter: 0.0, ..AgingModel::default() };
         let controller = AdaptiveBiasController::default();
-        let adapted = controller.run(&result.design, &model, 8, 0.9, &workload);
-        let frozen = unadapted_run(&result.design, &model, 8, 0.9, &workload);
+        let adapted = controller.run(&result.design, &model, 8, 0.9, &workload).unwrap();
+        let frozen = unadapted_run(&result.design, &model, 8, 0.9, &workload).unwrap();
 
         assert!(adapted.final_bias_steps > 0, "controller never triggered: {adapted:?}");
         // No escapes in either mode while inside the protected band.
@@ -246,9 +215,29 @@ mod tests {
     fn fresh_silicon_never_triggers() {
         let (result, workload) = setup();
         let model = AgingModel { jitter: 0.0, ..AgingModel::default() };
-        let run = AdaptiveBiasController::default().run(&result.design, &model, 3, 0.0, &workload);
+        let run =
+            AdaptiveBiasController::default().run(&result.design, &model, 3, 0.0, &workload).unwrap();
         assert_eq!(run.final_bias_steps, 0);
         assert_eq!(run.leakage_cost, 0.0);
         assert!(run.epochs.iter().all(|e| e.detected_errors == 0));
+    }
+
+    #[test]
+    fn degenerate_configs_are_errors_not_panics() {
+        let (result, workload) = setup();
+        let design = &result.design;
+        let model = AgingModel::default();
+        let controller = AdaptiveBiasController::default();
+        assert!(controller.run(design, &model, 0, 0.9, &workload).is_err());
+        assert!(controller.run(design, &model, 4, 0.9, &workload[..1]).is_err());
+        for max_stress in [f64::NAN, -0.1, 2.5] {
+            assert!(controller.run(design, &model, 4, max_stress, &workload).is_err());
+            assert!(unadapted_run(design, &model, 4, max_stress, &workload).is_err());
+        }
+        let bad_arity = vec![vec![false; 3], vec![true; 3]];
+        assert!(controller.run(design, &model, 2, 0.5, &bad_arity).is_err());
+        let unprotected = MaskedDesign::unprotected(design.original.clone());
+        let err = controller.run(&unprotected, &model, 4, 0.9, &workload).expect_err("unprotected");
+        assert!(err.to_string().contains("protected"));
     }
 }

@@ -8,7 +8,7 @@
 //! through the masked design under both capture policies and reports the
 //! observation-window expansion.
 
-use tm_masking::MaskedDesign;
+use tm_masking::{CaptureModel, MaskedDesign};
 use tm_netlist::Delay;
 use tm_resilience::{Context, TmError, TmResult};
 use tm_sim::timing::TimingSim;
@@ -143,37 +143,21 @@ impl<'a> DebugSession<'a> {
             return Err(TmError::invalid_input("trace buffer needs nonzero capacity"));
         }
         let _span = tm_telemetry::span!("monitor.trace.session", cycles = vectors.len());
-        let (instrumented, probes) = self.design.instrumented();
-        if scale.len() != instrumented.num_gates() {
-            return Err(TmError::invalid_input(format!(
-                "one scale factor per gate: got {}, netlist has {}",
-                scale.len(),
-                instrumented.num_gates()
-            )));
-        }
-        if let Some(&bad) = scale.iter().find(|f| !f.is_finite() || **f <= 0.0) {
-            return Err(TmError::invalid_input(format!(
-                "aging factor must be finite and positive, got {bad}"
-            )));
-        }
-        let arity = instrumented.inputs().len();
-        if let Some(bad) = vectors.iter().find(|v| v.len() != arity) {
-            return Err(TmError::invalid_input(format!(
-                "workload vector arity {} does not match {} primary inputs",
-                bad.len(),
-                arity
-            )));
-        }
-        let sim = TimingSim::with_scale(&instrumented, scale.to_vec());
+        // Every output samples at the clock and each cycle's signals are
+        // kept, so the session stays on the scalar simulator; the input
+        // check is the shared replay's.
+        let capture = CaptureModel::new(self.design);
+        capture.check_inputs(scale, vectors)?;
+        let sim = TimingSim::with_scale(capture.netlist(), scale.to_vec());
         let mut buffer = TraceBuffer::new(capacity);
         let mut window = 0usize;
         let mut overflowed = false;
         let total_cycles = vectors.len().saturating_sub(1);
         for (cycle, pair) in vectors.windows(2).enumerate() {
             let r = sim.transition(&pair[0], &pair[1], self.clock);
-            let mut signals = Vec::with_capacity(probes.len() * 3);
+            let mut signals = Vec::with_capacity(capture.probes().len() * 3);
             let mut vulnerable = false;
-            for p in &probes {
+            for p in capture.probes() {
                 let e = r.sampled[p.e_position];
                 signals.push(r.sampled[p.raw_position]);
                 signals.push(r.sampled[p.ytilde_position]);

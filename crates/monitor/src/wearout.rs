@@ -9,16 +9,14 @@
 //! [`run_lifetime`] plays a workload through the aged masked design
 //! epoch by epoch, logging exactly that hardware-observable signal, and
 //! [`WearoutPredictor`] does the offline analysis: detecting rate
-//! crossings and extrapolating the onset of wearout.
+//! crossings and extrapolating the onset of wearout. Each epoch is one
+//! [`CaptureModel::replay`]: the capture rule, the log and the
+//! speed-path stress map are `tm_masking::replay`'s.
 
-use tm_masking::MaskedDesign;
+use tm_masking::{check_stress_ramp, ramp_stress, speedpath_stress_map, CaptureModel, MaskedDesign};
 use tm_netlist::Delay;
 use tm_resilience::{TmError, TmResult};
 use tm_sim::aging::AgingModel;
-use tm_sim::func::PatternBlock;
-use tm_sim::packed::PackedTimingSim;
-use tm_sim::timing::TimingSim;
-use tm_sta::Sta;
 use tm_testkit::rng::fnv1a64;
 
 /// Counters logged during one lifetime epoch.
@@ -56,7 +54,8 @@ impl EpochStats {
 pub struct LifetimeConfig {
     /// Number of epochs simulated, stress swept linearly 0 → `max_stress`.
     pub epochs: usize,
-    /// Final stress level (1.0 = the aging model's full degradation).
+    /// Final stress level (1.0 = the aging model's full degradation; at
+    /// most 2.0, the end of the model's domain).
     pub max_stress: f64,
     /// Clock period; defaults to the original circuit's `Δ` when `None`.
     pub clock: Option<Delay>,
@@ -90,19 +89,6 @@ impl Default for LifetimeConfig {
     }
 }
 
-/// Which timed-simulation kernel drives the lifetime epochs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LifetimeKernel {
-    /// The 64-lane packed kernel ([`PackedTimingSim`]): 64 consecutive
-    /// workload transitions advance per word op.
-    Packed,
-    /// The original per-vector event-driven loop ([`TimingSim`]) — the
-    /// bit-identity oracle for the packed kernel, selected only by the
-    /// packed-vs-scalar differential test.
-    #[cfg_attr(not(test), allow(dead_code))]
-    Scalar,
-}
-
 /// Builds epoch `epoch`'s workload: the seeded random stream, with
 /// stress-pool vectors substituted at pool-biased positions.
 ///
@@ -132,28 +118,16 @@ fn epoch_workload(config: &LifetimeConfig, num_inputs: usize, epoch: usize) -> V
 ///
 /// Gates of the original circuit that lie on speed-paths age at the
 /// model's speed-path rate; all other gates (including the masking
-/// circuit, which rides on its ≥ 20 % slack) age at the base rate.
-///
-/// Runs on the packed 64-lane kernel, which is bit-identical to the
-/// scalar event-driven [`TimingSim`] loop (a differential test pins
-/// this).
+/// circuit, which rides on its ≥ 20 % slack) age at the base rate
+/// ([`speedpath_stress_map`]).
 ///
 /// # Errors
 ///
 /// Returns [`TmError`] when the design has no protected outputs
 /// (nothing to monitor) or the config is degenerate (zero epochs,
-/// fewer than two vectors per epoch, or a non-finite stress level).
+/// fewer than two vectors per epoch, or a stress level outside the
+/// aging model's `[0, 2]`).
 pub fn run_lifetime(design: &MaskedDesign, config: &LifetimeConfig) -> TmResult<Vec<EpochStats>> {
-    run_lifetime_with(design, config, LifetimeKernel::Packed)
-}
-
-/// [`run_lifetime`] with an explicit kernel choice. Both kernels
-/// produce bit-identical epoch logs.
-fn run_lifetime_with(
-    design: &MaskedDesign,
-    config: &LifetimeConfig,
-    kernel: LifetimeKernel,
-) -> TmResult<Vec<EpochStats>> {
     if !design.is_protected() {
         return Err(TmError::invalid_input("wearout monitoring needs protected outputs"));
     }
@@ -163,121 +137,27 @@ fn run_lifetime_with(
             config.epochs, config.vectors_per_epoch
         )));
     }
-    if !config.max_stress.is_finite() || config.max_stress < 0.0 {
-        return Err(TmError::invalid_input(format!(
-            "max_stress must be finite and non-negative, got {}",
-            config.max_stress
-        )));
-    }
+    check_stress_ramp(config.max_stress)?;
 
-    let sta = Sta::new(&design.original);
-    let delta = sta.critical_path_delay();
+    let (delta, stressed) = speedpath_stress_map(design);
     let clock = config.clock.unwrap_or(delta);
-    let target = delta * 0.9;
-    let orig_critical = sta.critical_gates(target);
-
-    let (instrumented, probes) = design.instrumented();
-    // Stress map over the combined gate space: original speed-path gates
-    // marked, everything else base-rate.
-    let (orig_range, _, _) = design.combined_partition();
-    let stressed: Vec<bool> = (0..instrumented.num_gates())
-        .map(|g| orig_range.contains(&g) && orig_critical.get(g).copied().unwrap_or(false))
-        .collect();
-
-    let lib = instrumented.library().clone();
-    let mut stats = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        let stress = if config.epochs == 1 {
-            config.max_stress
-        } else {
-            config.max_stress * epoch as f64 / (config.epochs - 1) as f64
-        };
-        let scale = config.model.scale_factors(&instrumented, &stressed, stress);
-
-        // Per-output sample times: MUXed outputs capture one aged MUX
-        // delay after the edge (see `tm_masking::inject`).
-        let mut sample_times = vec![clock; instrumented.outputs().len()];
-        for p in &design.protected {
-            if let tm_netlist::Driver::Gate(mux) = instrumented.driver(p.masked) {
-                let d = lib.cell(instrumented.gate(mux).cell()).max_delay() * scale[mux.index()];
-                sample_times[p.position] = clock + d;
-            }
-        }
-
-        let vectors = epoch_workload(config, instrumented.inputs().len(), epoch);
-        let mut s = EpochStats {
-            epoch,
-            stress,
-            cycles: 0,
-            activations: 0,
-            detected_errors: 0,
-            escapes: 0,
-        };
-        match kernel {
-            LifetimeKernel::Packed => {
-                let sim = PackedTimingSim::with_scale(&instrumented, &scale);
-                let n = vectors.len();
-                let mut i = 0;
-                while i + 1 < n {
-                    let c = (n - 1 - i).min(64);
-                    let prev = PatternBlock::from_patterns(&vectors[i..i + c]);
-                    let next = PatternBlock::from_patterns(&vectors[i + 1..i + 1 + c]);
-                    let r = sim.transition_block(&prev, &next, &sample_times);
-                    let mut activated = 0u64;
-                    let mut detected = 0u64;
-                    let mut escaped = 0u64;
-                    for p in &probes {
-                        let e = r.sampled[p.e_position];
-                        let raw = r.sampled[p.raw_position];
-                        let yt = r.sampled[p.ytilde_position];
-                        activated |= e;
-                        detected |= e & (raw ^ yt); // the hardware log: e ∧ (y ⊕ ỹ)
-                        escaped |= r.sampled[p.masked_position] ^ r.settled[p.masked_position];
-                    }
-                    s.cycles += c;
-                    s.activations += activated.count_ones() as usize;
-                    s.detected_errors += detected.count_ones() as usize;
-                    s.escapes += escaped.count_ones() as usize;
-                    i += c;
-                }
-            }
-            LifetimeKernel::Scalar => {
-                let sim = TimingSim::with_scale(&instrumented, scale.clone());
-                for pair in vectors.windows(2) {
-                    let r = sim.transition_with_sample_times(&pair[0], &pair[1], &sample_times);
-                    s.cycles += 1;
-                    let mut activated = false;
-                    let mut detected = false;
-                    let mut escaped = false;
-                    for p in &probes {
-                        let e = r.sampled[p.e_position];
-                        let raw = r.sampled[p.raw_position];
-                        let yt = r.sampled[p.ytilde_position];
-                        if e {
-                            activated = true;
-                            if raw != yt {
-                                detected = true; // the hardware log: e ∧ (y ⊕ ỹ)
-                            }
-                        }
-                        if r.sampled[p.masked_position] != r.settled[p.masked_position] {
-                            escaped = true;
-                        }
-                    }
-                    if activated {
-                        s.activations += 1;
-                    }
-                    if detected {
-                        s.detected_errors += 1;
-                    }
-                    if escaped {
-                        s.escapes += 1;
-                    }
-                }
-            }
-        }
-        stats.push(s);
-    }
-    Ok(stats)
+    let capture = CaptureModel::new(design);
+    (0..config.epochs)
+        .map(|epoch| {
+            let stress = ramp_stress(config.max_stress, epoch, config.epochs);
+            let scale = config.model.scale_factors(capture.netlist(), &stressed, stress);
+            let vectors = epoch_workload(config, capture.netlist().inputs().len(), epoch);
+            let o = capture.replay(&scale, clock, &vectors)?;
+            Ok(EpochStats {
+                epoch,
+                stress,
+                cycles: o.cycles,
+                activations: o.activations,
+                detected_errors: o.detected_errors,
+                escapes: o.masked_errors,
+            })
+        })
+        .collect()
 }
 
 /// Offline analyzer of epoch logs: detects the onset of wearout and
@@ -411,28 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_scalar_kernels_agree() {
-        // The differential gate for the packed-kernel adoption: both
-        // kernels must produce bit-identical epoch logs, including
-        // under stress-pool mixing and a tight clock.
-        let nl = comparator2(Arc::new(lsi10k_like()));
-        let result = synthesize(&nl, MaskingOptions::default());
-        let mut config = LifetimeConfig {
-            epochs: 5,
-            max_stress: 0.9,
-            vectors_per_epoch: 131, // not a multiple of 64: ragged tail block
-            ..Default::default()
-        };
-        config.stress_pool = tm_masking::inject::speedpath_patterns(&result, 6, 0xB00);
-        config.pool_bias = 0.4;
-        let design = result.design;
-        let packed = run_lifetime_with(&design, &config, LifetimeKernel::Packed).unwrap();
-        let scalar = run_lifetime_with(&design, &config, LifetimeKernel::Scalar).unwrap();
-        assert_eq!(packed, scalar);
-        assert!(packed.last().unwrap().detected_errors > 0, "{packed:?}");
-    }
-
-    #[test]
     fn pool_sampling_is_an_isolated_stream() {
         // Regression for the stress-pool PRNG fix: pool mixing draws
         // from a dedicated `seed ^ fnv1a64("epoch") ^ epoch` stream, so
@@ -482,8 +340,10 @@ mod tests {
         assert!(run_lifetime(&design, &bad_epochs).is_err());
         let bad_vectors = LifetimeConfig { vectors_per_epoch: 1, ..Default::default() };
         assert!(run_lifetime(&design, &bad_vectors).is_err());
-        let bad_stress = LifetimeConfig { max_stress: f64::NAN, ..Default::default() };
-        assert!(run_lifetime(&design, &bad_stress).is_err());
+        for max_stress in [f64::NAN, -0.1, 2.5] {
+            let bad_stress = LifetimeConfig { max_stress, ..Default::default() };
+            assert!(run_lifetime(&design, &bad_stress).is_err(), "max_stress {max_stress}");
+        }
         let unprotected = MaskedDesign::unprotected(design.original.clone());
         let err = run_lifetime(&unprotected, &LifetimeConfig::default()).expect_err("unprotected");
         assert!(err.to_string().contains("protected"));

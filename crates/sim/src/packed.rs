@@ -7,8 +7,9 @@
 //! same netlist under the same per-gate delay realization. The two use
 //! cases (see DESIGN.md §15):
 //!
-//! - **64 vectors, one chip** — `run_lifetime` plays its workload in
-//!   blocks of 64 consecutive transitions;
+//! - **64 vectors, one chip** — `tm_masking::replay` plays a workload
+//!   through the masked design in blocks of 64 consecutive transitions
+//!   (injection, body bias and wearout logging all run on it);
 //! - **64 chips, one delay class** — the fleet simulator buckets
 //!   per-chip aged delay realizations into discrete classes, so all
 //!   chips of a class share one compiled schedule and differ only in

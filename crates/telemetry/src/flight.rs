@@ -98,9 +98,10 @@ pub struct FlightStats {
     pub threads: u64,
     /// Events currently buffered across all rings.
     pub buffered: u64,
-    /// Events ever recorded into rings.
+    /// Events ever recorded into rings, exited threads' included.
     pub recorded: u64,
-    /// Events overwritten before export (exact drop count).
+    /// Events overwritten before export (exact drop count, exited
+    /// threads' included).
     pub dropped: u64,
     /// Slow-request captures taken.
     pub slow_captured: u64,
@@ -209,6 +210,10 @@ struct ThreadRing {
 }
 
 static REGISTRY: Mutex<Vec<Weak<ThreadRing>>> = Mutex::new(Vec::new());
+/// `recorded` and `dropped` totals of rings whose threads have exited,
+/// folded in when the ring drops so the process-wide totals keep them.
+static RETIRED_RECORDED: AtomicU64 = AtomicU64::new(0);
+static RETIRED_DROPPED: AtomicU64 = AtomicU64::new(0);
 static SLOW_LOG: Mutex<VecDeque<SlowCapture>> = Mutex::new(VecDeque::new());
 static SLOW_CAPTURED: AtomicU64 = AtomicU64::new(0);
 static SLOW_EVICTED: AtomicU64 = AtomicU64::new(0);
@@ -228,6 +233,14 @@ thread_local! {
         reg.push(Arc::downgrade(&ring));
         ring
     };
+}
+
+impl Drop for ThreadRing {
+    fn drop(&mut self) {
+        let ring = self.ring.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner());
+        RETIRED_RECORDED.fetch_add(ring.recorded, Ordering::Relaxed);
+        RETIRED_DROPPED.fetch_add(ring.dropped, Ordering::Relaxed);
+    }
 }
 
 /// The recorder-assigned dense thread id for the current thread.
@@ -505,7 +518,7 @@ pub struct Export {
     /// Ring contents across all live threads, ordered by `(ts, tid)`.
     pub events: Vec<TraceEvent>,
     /// Events dropped (newest-first truncation by `limit`, plus ring
-    /// overwrites) — exact.
+    /// overwrites, exited threads' included) — exact.
     pub dropped: u64,
     /// Slow-request captures (oldest first).
     pub slow: Vec<SlowCapture>,
@@ -513,7 +526,11 @@ pub struct Export {
 
 /// Snapshots recorder statistics (for the `stats` verb).
 pub fn stats() -> FlightStats {
+    // Retired totals are read first: a ring this walk upgrades can only
+    // retire after the walk has counted it.
     let mut s = FlightStats {
+        recorded: RETIRED_RECORDED.load(Ordering::Relaxed),
+        dropped: RETIRED_DROPPED.load(Ordering::Relaxed),
         slow_captured: SLOW_CAPTURED.load(Ordering::Relaxed),
         slow_evicted: SLOW_EVICTED.load(Ordering::Relaxed),
         ..FlightStats::default()
@@ -537,7 +554,7 @@ pub fn stats() -> FlightStats {
 /// log. Does not consume the rings.
 pub fn export(limit: usize) -> Export {
     let mut events = Vec::new();
-    let mut dropped = 0u64;
+    let mut dropped = RETIRED_DROPPED.load(Ordering::Relaxed);
     {
         let mut reg = lock(&REGISTRY);
         reg.retain(|w| w.strong_count() > 0);
@@ -719,6 +736,24 @@ mod tests {
         let after = stats();
         assert_eq!(after.dropped - before.dropped, 100, "exactly the overflow is dropped");
         assert_eq!(after.recorded - before.recorded, (RING_CAPACITY + 100) as u64);
+    }
+
+    #[test]
+    fn exited_threads_keep_their_totals() {
+        let _on = RecordOn::new();
+        let before = stats();
+        std::thread::spawn(|| {
+            set_thread_recording(Some(true));
+            for _ in 0..RING_CAPACITY + 7 {
+                instant("bdd.publish", &[]);
+            }
+        })
+        .join()
+        .expect("recording thread");
+        let after = stats();
+        assert_eq!(after.recorded - before.recorded, (RING_CAPACITY + 7) as u64);
+        assert_eq!(after.dropped - before.dropped, 7);
+        assert!(export(0).dropped >= 7);
     }
 
     #[test]

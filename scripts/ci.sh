@@ -49,7 +49,11 @@
 #    replays hundreds of generated netlists, up to the `cmb`/`cu`
 #    stand-in sizes, through the packed and scalar timing kernels with
 #    uniform and with skewed per-pin delays, and requires bit-identical
-#    sampled and settled words in every lane.
+#    sampled and settled words in every lane. Then the release-only
+#    `tm-masking` replay differential replays the masked designs of all
+#    20 Table 2 stand-ins through the shared replay and a scalar oracle
+#    and requires identical raw-error, escape, activation and detection
+#    counts.
 # 13. Dormant-site check: the release `dormant_sites` test times every
 #    dormant instrumentation entry point that hot code calls (telemetry
 #    counters, digests and spans, flight-recorder phases, fault-plane
@@ -285,6 +289,7 @@ cargo run -q --offline --release -p tm-telemetry --bin validate_metrics -- \
 
 echo "== packed-kernel sweep (uniform + skewed pin delays, release) =="
 cargo test --release --offline -p tm-sim --test packed_differential -- --ignored
+cargo test --release --offline -p tm-masking --test replay_differential -- --ignored
 
 echo "== dormant-site check (paired in-process A/B, release) =="
 unset TM_TRACE TM_FAULTS TM_FAULTS_SEED
