@@ -106,18 +106,6 @@ impl RetryPolicy {
         let factor = 1.0 + self.jitter * (2.0 * rng.next_f64() - 1.0);
         Duration::from_secs_f64((self.base_delay(attempt).as_secs_f64() * factor).max(0.0))
     }
-
-    /// The policy as JSON, recorded as `meta.retry_policy` in bench
-    /// docs so a committed baseline says how its client retried.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("base_ms", Json::Num(self.base.as_secs_f64() * 1e3)),
-            ("multiplier", Json::Num(self.multiplier)),
-            ("cap_ms", Json::Num(self.cap.as_secs_f64() * 1e3)),
-            ("jitter", Json::Num(self.jitter)),
-            ("max_attempts", Json::Num(self.max_attempts as f64)),
-        ])
-    }
 }
 
 /// A successful request's response stream.
@@ -239,16 +227,6 @@ mod tests {
         assert_eq!(policy.base_delay(5), Duration::from_millis(320));
         assert_eq!(policy.base_delay(6), Duration::from_millis(640), "capped");
         assert_eq!(policy.base_delay(60), Duration::from_millis(640), "stays capped");
-    }
-
-    #[test]
-    fn policy_json_records_every_knob() {
-        let j = RetryPolicy::default().to_json();
-        assert_eq!(j.get("base_ms").and_then(Json::as_num), Some(10.0));
-        assert_eq!(j.get("multiplier").and_then(Json::as_num), Some(2.0));
-        assert_eq!(j.get("cap_ms").and_then(Json::as_num), Some(640.0));
-        assert_eq!(j.get("jitter").and_then(Json::as_num), Some(0.25));
-        assert_eq!(j.get("max_attempts").and_then(Json::as_num), Some(6.0));
     }
 
     #[test]

@@ -301,7 +301,7 @@ struct FleetPlan {
 
 /// A fleet simulator: compiled per-class schedules plus two bits of
 /// state per chip. Drive it epoch by epoch with [`FleetSim::run_epoch`]
-/// (the `fleet` bench times each call), or use [`run_fleet`] for the
+/// (perfbench's `fleet_lifetime` times each), or use [`run_fleet`] for the
 /// whole lifetime.
 pub struct FleetSim {
     config: FleetConfig,

@@ -72,6 +72,18 @@ fn packed_and_scalar_kernels_agree_across_jobs() {
     config.jobs = 3;
     let scalar = run_fleet(&design, &config).unwrap();
     assert_eq!(packed, scalar, "kernel differential failed");
+
+    // Full 64-lane blocks: at epoch 0 every chip sits in class 0,
+    // unflagged, so one shard of 130 chips packs two full blocks and a
+    // 2-lane tail (lane 63 of the transpose, the multi-block path).
+    config.chips = 130;
+    config.kernel = FleetKernel::Packed;
+    config.jobs = 1;
+    let packed = run_fleet(&design, &config).unwrap();
+    config.kernel = FleetKernel::Scalar;
+    config.jobs = 3;
+    let scalar = run_fleet(&design, &config).unwrap();
+    assert_eq!(packed, scalar, "kernel differential failed on full blocks");
 }
 
 /// A pseudo-random aggregate with integer-ppm digest samples (the only
