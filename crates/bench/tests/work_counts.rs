@@ -58,8 +58,6 @@ const TABLE1_COUNTS: Counts = &[
     ("bdd.gc.runs", 0),
     ("bdd.quant.hits", 0),
     ("bdd.quant.misses", 0),
-    ("bdd.reorder.delta", 0),
-    ("bdd.reorder.runs", 0),
     ("bdd.unique.hits", 20091),
     ("bdd.unique.misses", 115920),
     ("bdd.unique.rehashes", 49),
@@ -83,8 +81,6 @@ const MASKING_COUNTS: Counts = &[
     ("bdd.gc.runs", 0),
     ("bdd.quant.hits", 0),
     ("bdd.quant.misses", 0),
-    ("bdd.reorder.delta", 0),
-    ("bdd.reorder.runs", 0),
     ("bdd.unique.hits", 928),
     ("bdd.unique.misses", 1081),
     ("bdd.unique.rehashes", 1),

@@ -1,8 +1,8 @@
 //! Chaos battery, capacity-tier round: between-request GC interleaved
 //! with an armed `bdd.alloc.fail` site must leak nothing.
 //!
-//! Each request under a watermark of 1 is followed by capacity
-//! maintenance (mark-and-sweep GC + conditional reorder), so injected
+//! Each request under a watermark of 1 is followed by a mark-and-sweep
+//! GC, so injected
 //! allocation failures land in every phase of the session lifecycle:
 //! mid-compute (the capacity retry recovers or the ladder degrades),
 //! right before a GC (the dead prefix of a failed attempt must be

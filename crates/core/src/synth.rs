@@ -236,13 +236,6 @@ fn synthesize_from_spcf(
     start: Instant,
 ) -> (MaskedDesign, MaskingReport) {
     let degradation = DegradationLevel::from(spcf.algorithm);
-    // Progress eprintln's are the verbose tier: structured spans and
-    // counters cover TM_TRACE=1, the log lines only appear at 2.
-    let trace = tm_telemetry::trace_level() >= 2;
-    macro_rules! trace {
-        ($($arg:tt)*) => { if trace { eprintln!($($arg)*); } };
-    }
-    trace!("[synth {:?}] spcf ladder settled at {degradation}", start.elapsed());
     // The guard-everything rung has no per-pattern information to prune
     // against, and essential-weight selection would only rediscover the
     // full covers at BDD cost — force the FullCover path, which needs
@@ -270,13 +263,10 @@ fn synthesize_from_spcf(
     // FullCover path (including the conservative rung, where they could
     // blow up on exactly the circuits that exhausted the budget) skips
     // building them entirely.
-    trace!("[synth {:?}] spcf done", start.elapsed());
     let use_care = cube_selection == CubeSelection::EssentialWeight;
     let extract_span = tm_telemetry::span!("masking.extract");
     let tin = extract(netlist, options.extract);
-    trace!("[synth {:?}] extract done ({} nodes)", start.elapsed(), tin.num_nodes());
     let globals: Vec<BddRef> = if use_care { tin.global_bdds(bdd) } else { Vec::new() };
-    trace!("[synth {:?}] globals done", start.elapsed());
     drop(extract_span);
 
     // Structural cone membership gates which nodes get mask logic; the
@@ -362,9 +352,6 @@ fn synthesize_from_spcf(
             None => e_cover,
         };
 
-        if trace && start.elapsed().as_secs() >= 2 {
-            trace!("[synth {:?}] node {} arity {} on={} off={} e={}", start.elapsed(), tin.sig_name(sig), arity, sel_on.len(), sel_off.len(), e_final.len());
-        }
         // A tautological indicator (e.g. for a node whose on/off covers
         // partition the whole local space, like an inverter) carries no
         // information: skip it so it neither becomes hardware nor an
@@ -380,7 +367,6 @@ fn synthesize_from_spcf(
     }
     drop(covers_span);
     tm_telemetry::counter_add("masking.synth.nodes_masked", mask_nodes.len() as u64);
-    trace!("[synth {:?}] node covers done ({} nodes)", start.elapsed(), mask_nodes.len());
 
     // Assemble the masking network: mirrored reduced nodes, per-node e
     // nodes, and an AND tree per protected output.
@@ -424,31 +410,21 @@ fn synthesize_from_spcf(
         masked_meta.push((*net, yt_pos, e_pos));
     }
     let (mnet, _sig_map) = mnet.sweep();
-    trace!("[synth {:?}] masking network assembled ({} nodes)", start.elapsed(), mnet.num_nodes());
 
     // Map the masking network, clean it up, and enforce the slack
     // budget.
     let map_span = tm_telemetry::span!("masking.map");
     let mapped = tech_map(&mnet, netlist.library().clone(), options.map);
-    let (mut masking, cleanup_stats) = tm_netlist::cleanup::cleanup(&mapped);
+    let (mut masking, _) = tm_netlist::cleanup::cleanup(&mapped);
     drop(map_span);
-    trace!(
-        "[synth {:?}] mapped ({} gates, cleanup removed {})",
-        start.elapsed(),
-        masking.num_gates(),
-        cleanup_stats.removed()
-    );
     let slack_budget = delta * (1.0 - options.slack_fraction);
     {
         let _s = tm_telemetry::span!("masking.slack");
         enforce_slack(&mut masking, slack_budget, options.sizing_iterations);
     }
-    trace!("[synth {:?}] slack enforced", start.elapsed());
 
     let design = assemble_masked_design(netlist, masking, &masked_meta);
-    trace!("[synth {:?}] combined built ({} gates)", start.elapsed(), design.combined.num_gates());
     let report = MaskingReport::measure(&design, spcf, bdd, delta, target, options.slack_fraction, degradation, start.elapsed());
-    trace!("[synth {:?}] measured", start.elapsed());
     (design, report)
 }
 

@@ -824,17 +824,31 @@ mod tests {
 
     #[test]
     fn dvs_stepdown_reduces_flagged_chip_errors() {
-        // With a strong stretch, flagged chips sample far after the
-        // slowest settle: their post-flag epochs must be escape-free.
+        // A stretch only changes how *flagged* chips sample. Unflagged
+        // chips behave identically in both runs, and they alone decide
+        // who gets flagged next, so the flag set and the pre-flag
+        // escapes must match; a strong stretch then samples flagged
+        // chips far after the slowest settle, so they detect less and
+        // escape nothing.
         let design = masked_comparator();
-        let mut config = small_config();
-        config.dvs_stretch = 3.0;
-        let r = run_fleet(&design, &config).unwrap();
-        assert!(r.flagged_chips > 0);
-        // All unmasked escapes (if any) happened on not-yet-flagged
-        // chips: the per-chip escape tally equals the pre-flag one.
-        let total_escape_chips: u64 = r.escapes_before_flag;
-        let _ = total_escape_chips; // escapes may legitimately be zero
+        let run = |dvs_stretch| {
+            let config = FleetConfig { dvs_stretch, ..small_config() };
+            run_fleet(&design, &config).unwrap()
+        };
+        let (plain, stretched) = (run(1.0), run(3.0));
+        assert!(stretched.flagged_chips > 0);
+        for (p, s) in plain.epochs.iter().zip(&stretched.epochs) {
+            assert_eq!(s.flagged_total, p.flagged_total, "epoch {}", p.epoch);
+            assert_eq!(s.escapes_before_flag, p.escapes_before_flag, "epoch {}", p.epoch);
+            assert!(s.detected <= p.detected, "epoch {}", p.epoch);
+            assert!(s.escapes <= p.escapes, "epoch {}", p.epoch);
+        }
+        let total = |r: &FleetResult, f: fn(&ShardAggregate) -> u64| -> u64 {
+            r.epochs.iter().map(f).sum()
+        };
+        assert!(total(&stretched, |a| a.detected) < total(&plain, |a| a.detected));
+        assert_eq!(total(&stretched, |a| a.escapes), 0);
+        assert!(total(&plain, |a| a.escapes) > 0);
     }
 
     #[test]

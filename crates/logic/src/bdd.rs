@@ -129,6 +129,10 @@ struct QuantEntry {
 
 /// A BDD manager: owns the node store, unique table and operation caches.
 ///
+/// The variable order is fixed for the manager's lifetime: ascending
+/// variable index. Capacity is recovered by [`Bdd::gc`] alone, which
+/// reclaims dead nodes and returns a [`BddRemap`] for the live ones.
+///
 /// # Budgets
 ///
 /// A deterministic [`Budget`] can be installed with [`Bdd::set_budget`];
@@ -155,22 +159,10 @@ struct QuantEntry {
 pub struct Bdd {
     num_vars: u32,
     /// Struct-of-arrays node store; entry 0 is the shared terminal.
-    /// Node labels are *levels* (positions in the current variable
-    /// order), not variable indices: while the order is the identity
-    /// the two coincide and every hot path is untouched, and after a
-    /// [`Bdd::reorder`] only the boundary operations (`var`, `eval`,
-    /// `export`, …) translate through `level2var`/`var2level`.
+    /// Node labels are variable indices, ordered by ascending index.
     vars: Vec<u32>,
     los: Vec<u32>,
     his: Vec<u32>,
-    /// Current variable order: `level2var[level]` is the variable
-    /// sitting at that depth.
-    level2var: Vec<u32>,
-    /// Inverse of `level2var`.
-    var2level: Vec<u32>,
-    /// Whether the order is the identity permutation (the fast common
-    /// case; `export`/`import` then skip order normalization).
-    identity_order: bool,
     /// Open-addressed unique table: slots hold node indices,
     /// [`UNIQUE_EMPTY`] marks a free slot.
     u_slots: Vec<u32>,
@@ -200,14 +192,6 @@ pub struct Bdd {
     /// `steps` when the budget was installed: `max_steps` charges only
     /// the steps taken since.
     steps_at_budget: u64,
-    /// When set, `mk` skips budget charging and fault injection: used
-    /// only by internal store rebuilds (reorder commit, export
-    /// normalization) whose node population is bounded by an already
-    /// admitted store, so charging again would double-bill.
-    exempt: bool,
-    /// Node count as of the last [`Bdd::gc`]/[`Bdd::reorder`] (or
-    /// creation): the growth baseline of [`Bdd::should_reorder`].
-    reorder_baseline: usize,
 }
 
 /// Lifetime operation counts of one [`Bdd`] manager.
@@ -242,10 +226,6 @@ pub struct BddStats {
     pub gc_runs: u64,
     /// Total dead nodes reclaimed across all GC passes.
     pub gc_reclaimed: u64,
-    /// Completed [`Bdd::reorder`] passes.
-    pub reorder_runs: u64,
-    /// Total store-size reduction (nodes) across all reorder passes.
-    pub reorder_delta: u64,
 }
 
 impl fmt::Debug for Bdd {
@@ -272,9 +252,6 @@ impl Bdd {
             vars: vec![TERMINAL_VAR],
             los: vec![ONE],
             his: vec![ONE],
-            level2var: (0..num_vars as u32).collect(),
-            var2level: (0..num_vars as u32).collect(),
-            identity_order: true,
             u_slots: vec![UNIQUE_EMPTY; UNIQUE_INITIAL_CAP],
             u_len: 0,
             u_old: Vec::new(),
@@ -287,8 +264,6 @@ impl Bdd {
             budget: Budget::unlimited(),
             steps: 0,
             steps_at_budget: 0,
-            exempt: false,
-            reorder_baseline: 1,
         }
     }
 
@@ -367,8 +342,7 @@ impl Bdd {
     /// Budget-checked [`Bdd::var`].
     pub fn try_var(&mut self, var: usize) -> Result<BddRef, Exhausted> {
         assert!((var as u32) < self.num_vars, "variable {var} out of range");
-        let level = self.var2level[var];
-        Ok(BddRef(self.mk(level, ZERO, ONE)?))
+        Ok(BddRef(self.mk(var as u32, ZERO, ONE)?))
     }
 
     /// The negated projection of variable `var`.
@@ -379,8 +353,7 @@ impl Bdd {
     /// Budget-checked [`Bdd::nvar`].
     pub fn try_nvar(&mut self, var: usize) -> Result<BddRef, Exhausted> {
         assert!((var as u32) < self.num_vars, "variable {var} out of range");
-        let level = self.var2level[var];
-        Ok(BddRef(self.mk(level, ONE, ZERO)?))
+        Ok(BddRef(self.mk(var as u32, ONE, ZERO)?))
     }
 
     /// A literal: variable `var` with the given polarity.
@@ -412,10 +385,8 @@ impl Bdd {
             self.stats.unique_hits += 1;
             return Ok((idx << 1) | out);
         }
-        if !self.exempt {
-            self.budget.check_bdd_nodes(self.vars.len() as u64)?;
-            tm_resilience::fault::bdd_alloc_fault()?;
-        }
+        self.budget.check_bdd_nodes(self.vars.len() as u64)?;
+        tm_resilience::fault::bdd_alloc_fault()?;
         self.stats.unique_misses += 1;
         let idx = self.vars.len() as u32;
         assert!(idx <= MAX_NODE_INDEX, "BDD node store exceeds 2^31 nodes");
@@ -768,8 +739,7 @@ impl Bdd {
             if i == 0 {
                 return e == ONE;
             }
-            let var = self.level2var[self.vars[i] as usize] as usize;
-            let next = if assignment[var] { self.his[i] } else { self.los[i] };
+            let next = if assignment[self.vars[i] as usize] { self.his[i] } else { self.los[i] };
             e = next ^ (e & 1);
         }
     }
@@ -830,7 +800,7 @@ impl Bdd {
             if lo != ZERO {
                 e = lo;
             } else {
-                assignment[self.level2var[self.vars[i] as usize] as usize] = true;
+                assignment[self.vars[i] as usize] = true;
                 e = self.his[i] ^ c;
             }
         }
@@ -869,15 +839,15 @@ impl Bdd {
         }
         let mut memo: HashMap<u32, f64> = HashMap::new();
         let mut assignment = vec![false; self.num_vars as usize];
-        // Free levels above the root.
-        let mut next_level = 0u32;
+        // Free variables above the root.
+        let mut next_var = 0u32;
         let mut e = f.0;
         loop {
             let i = (e >> 1) as usize;
-            let node_level = if i == 0 { self.num_vars } else { self.vars[i] };
-            while next_level < node_level {
-                assignment[self.level2var[next_level as usize] as usize] = unit_random() < 0.5;
-                next_level += 1;
+            let node_var = if i == 0 { self.num_vars } else { self.vars[i] };
+            while next_var < node_var {
+                assignment[next_var as usize] = unit_random() < 0.5;
+                next_var += 1;
             }
             if i == 0 {
                 break;
@@ -888,9 +858,9 @@ impl Bdd {
             let lo_weight = self.fraction_rec(lo, &mut memo);
             let hi_weight = self.fraction_rec(hi, &mut memo);
             let take_hi = unit_random() * (lo_weight + hi_weight) >= lo_weight;
-            assignment[self.level2var[self.vars[i] as usize] as usize] = take_hi;
+            assignment[node_var as usize] = take_hi;
             e = if take_hi { hi } else { lo };
-            next_level = node_level + 1;
+            next_var = node_var + 1;
         }
         Some(assignment)
     }
@@ -929,8 +899,7 @@ impl Bdd {
         for &v in vars {
             assert!((v as u32) < self.num_vars, "variable {v} out of range");
         }
-        // The recursion works in level space (node labels are levels).
-        let mut sorted: Vec<u32> = vars.iter().map(|&v| self.var2level[v]).collect();
+        let mut sorted: Vec<u32> = vars.iter().map(|&v| v as u32).collect();
         sorted.sort_unstable();
         sorted.dedup();
         self.ite_cache_maybe_grow();
@@ -993,7 +962,7 @@ impl Bdd {
                 continue;
             }
             let n = i as usize;
-            vars.insert(self.level2var[self.vars[n] as usize] as usize);
+            vars.insert(self.vars[n] as usize);
             stack.push(self.los[n] >> 1);
             stack.push(self.his[n] >> 1);
         }
@@ -1058,12 +1027,6 @@ impl Bdd {
     /// high-water metric (`bdd.store.capacity`).
     pub fn unique_capacity(&self) -> usize {
         self.u_slots.len()
-    }
-
-    /// The current variable order: element `level` is the variable at
-    /// that depth. Identity until the first [`Bdd::reorder`].
-    pub fn current_order(&self) -> Vec<usize> {
-        self.level2var.iter().map(|&v| v as usize).collect()
     }
 
     /// Checks the structural invariants of the node store and unique
@@ -1146,8 +1109,6 @@ impl Bdd {
         tm_telemetry::counter_add("bdd.quant.misses", s.quant_cache_misses - p.quant_cache_misses);
         tm_telemetry::counter_add("bdd.gc.runs", s.gc_runs - p.gc_runs);
         tm_telemetry::counter_add("bdd.gc.reclaimed", s.gc_reclaimed - p.gc_reclaimed);
-        tm_telemetry::counter_add("bdd.reorder.runs", s.reorder_runs - p.reorder_runs);
-        tm_telemetry::counter_add("bdd.reorder.delta", s.reorder_delta - p.reorder_delta);
         tm_telemetry::gauge_set("bdd.nodes", self.vars.len() as f64);
         tm_telemetry::gauge_set("bdd.unique.entries", self.unique_entries() as f64);
         tm_telemetry::gauge_set("bdd.store.live", self.vars.len() as f64);
@@ -1169,21 +1130,7 @@ impl Bdd {
     /// determinism suites compare on: importing the same exports in the
     /// same order replays the same `mk` sequence in the target manager
     /// regardless of which manager produced them.
-    ///
-    /// The encoding is also independent of this manager's *variable
-    /// order*: entries name variables (not levels) and are listed in
-    /// identity order, so a manager that has been through
-    /// [`Bdd::reorder`] exports the same bytes as one that never was.
-    /// (Under a non-identity order the function is first re-expressed
-    /// in an identity-ordered scratch manager; the common identity case
-    /// pays nothing.)
     pub fn export(&self, f: BddRef) -> PortableBdd {
-        if !self.identity_order {
-            let mut scratch = Bdd::new(self.num_vars as usize);
-            scratch.exempt = true;
-            let g = self.copy_into_identity(&mut scratch, f);
-            return scratch.export(g);
-        }
         let mut ids: HashMap<u32, u32> = HashMap::new();
         ids.insert(ZERO, 0);
         ids.insert(ONE, 1);
@@ -1209,39 +1156,6 @@ impl Bdd {
         PortableBdd { num_vars: self.num_vars, entries, root: ids[&f.0] }
     }
 
-    /// Re-expresses `f` in `scratch`, an identity-ordered manager over
-    /// the same variable space. A children-first DFS over `(node,
-    /// parity)` pairs rebuilds each subfunction via `ite` on the real
-    /// variable, which tolerates any source order; `scratch` must be in
-    /// exempt mode (the copy is bounded by this store's size).
-    fn copy_into_identity(&self, scratch: &mut Bdd, f: BddRef) -> BddRef {
-        debug_assert!(scratch.exempt && scratch.identity_order);
-        let mut map: HashMap<u32, u32> = HashMap::new();
-        map.insert(ZERO, ZERO);
-        map.insert(ONE, ONE);
-        let mut stack = vec![(f.0, false)];
-        while let Some((e, expanded)) = stack.pop() {
-            if map.contains_key(&e) {
-                continue;
-            }
-            let i = (e >> 1) as usize;
-            let c = e & 1;
-            let lo = self.los[i] ^ c;
-            let hi = self.his[i] ^ c;
-            if expanded {
-                let var = self.level2var[self.vars[i] as usize] as usize;
-                let lit = scratch.var(var);
-                let g = scratch.ite(lit, BddRef(map[&hi]), BddRef(map[&lo]));
-                map.insert(e, g.0);
-            } else {
-                stack.push((e, true));
-                stack.push((hi, false));
-                stack.push((lo, false));
-            }
-        }
-        BddRef(map[&f.0])
-    }
-
     /// Rebuilds an exported function in this manager.
     ///
     /// # Panics
@@ -1264,33 +1178,11 @@ impl Bdd {
         let mut ids: Vec<u32> = Vec::with_capacity(portable.entries.len() + 2);
         ids.push(ZERO);
         ids.push(ONE);
-        if self.identity_order {
-            for &(var, lo, hi) in &portable.entries {
-                let edge = self.mk(var, ids[lo as usize], ids[hi as usize])?;
-                ids.push(edge);
-            }
-        } else {
-            // The encoding's children-precede-parents guarantee holds
-            // for the identity order only; under a permuted order each
-            // entry is rebuilt via `ite` on its literal instead.
-            for &(var, lo, hi) in &portable.entries {
-                let lit = self.try_var(var as usize)?;
-                let edge =
-                    self.try_ite(lit, BddRef(ids[hi as usize]), BddRef(ids[lo as usize]))?;
-                ids.push(edge.0);
-            }
+        for &(var, lo, hi) in &portable.entries {
+            let edge = self.mk(var, ids[lo as usize], ids[hi as usize])?;
+            ids.push(edge);
         }
         Ok(BddRef(ids[portable.root as usize]))
-    }
-
-    /// Whether the store has grown enough since the last
-    /// [`Bdd::gc`]/[`Bdd::reorder`] that a reorder pass is likely to
-    /// pay off: at least [`REORDER_MIN_NODES`] nodes and at least twice
-    /// the post-maintenance baseline. Purely count-based — no wall
-    /// clocks — so every worker count sees the same decision.
-    pub fn should_reorder(&self) -> bool {
-        let n = self.vars.len();
-        n >= REORDER_MIN_NODES && n >= self.reorder_baseline.saturating_mul(2)
     }
 
     /// Mark-and-sweep garbage collection rooted at `roots`: compacts
@@ -1320,7 +1212,6 @@ impl Bdd {
         let live = marked.iter().filter(|&&m| m).count();
         self.stats.gc_runs += 1;
         if live == n {
-            self.reorder_baseline = n;
             return BddRemap { kind: RemapKind::Identity };
         }
         self.stats.gc_reclaimed += (n - live) as u64;
@@ -1349,19 +1240,11 @@ impl Bdd {
         self.rebuild_unique_table();
         self.ite_cache.fill(ITE_EMPTY);
         self.quant_gen = self.quant_gen.wrapping_add(1);
-        self.reorder_baseline = live;
         BddRemap { kind: RemapKind::Index(map) }
     }
 
-    /// Explicit alias for [`Bdd::gc`]: in this manager a collection is
-    /// always compacting (the survivors are renumbered densely), so the
-    /// two entry points are one pass.
-    pub fn compact(&mut self, roots: &[BddRef]) -> BddRemap {
-        self.gc(roots)
-    }
-
     /// Rebuilds the unique table from scratch over the current store
-    /// (after a GC or reorder): capacity re-sized to keep load below
+    /// (after a GC): capacity re-sized to keep load below
     /// 3/4, any in-flight incremental rehash dropped.
     fn rebuild_unique_table(&mut self) {
         let live = self.vars.len() - 1;
@@ -1379,148 +1262,15 @@ impl Bdd {
         }
     }
 
-    /// Rudell-style sifting: finds a better variable order for the live
-    /// graph rooted at `roots` and rebuilds the store under it. Implies
-    /// a GC (only root-reachable nodes survive). Returns a [`BddRemap`]
-    /// valid for `roots` (and their complements); every other handle is
-    /// invalidated.
-    ///
-    /// The cost model is purely structural — live plain-node count
-    /// after each adjacent-level swap, sift order by descending level
-    /// population with index tie-breaks, 2× growth abort — so the
-    /// chosen order is a deterministic function of the root set alone:
-    /// no wall clocks, identical for every worker count.
-    pub fn reorder(&mut self, roots: &[BddRef]) -> BddRemap {
-        let before = self.vars.len();
-        let levels = self.num_vars as usize;
-        // Extract the live graph as a plain (complement-free) workspace:
-        // in-place adjacent-level swaps cannot preserve the
-        // low-edge-never-complemented rule without patching incoming
-        // edges, so sifting runs on the plain graph instead.
-        let mut ws = SiftWorkspace::new(levels);
-        let mut memo: HashMap<u32, u32> = HashMap::new();
-        for r in roots {
-            let n = self.extract_plain(r.0, &mut ws, &mut memo);
-            ws.incref(n);
-            ws.roots.push((r.0, n));
-        }
-        // Release the extraction holds (in sorted key order, so the
-        // free list — and with it every later arena index — is a
-        // deterministic function of the root set); only root-reachable
-        // nodes survive.
-        let mut held: Vec<(u32, u32)> = memo.iter().map(|(&e, &n)| (e, n)).collect();
-        held.sort_unstable();
-        for (_, n) in held {
-            ws.deref(n);
-        }
-        ws.sift();
-        // Commit: the new order composes the sift permutation with the
-        // current one, and the store is rebuilt deepest level first so
-        // children always exist before their parents.
-        let new_level2var: Vec<u32> =
-            ws.var_at.iter().map(|&w| self.level2var[w as usize]).collect();
-        let remap = self.rebuild_from_workspace(&ws);
-        self.level2var = new_level2var;
-        for (level, &var) in self.level2var.iter().enumerate() {
-            self.var2level[var as usize] = level as u32;
-        }
-        self.identity_order =
-            self.level2var.iter().enumerate().all(|(l, &v)| l as u32 == v);
-        self.stats.reorder_runs += 1;
-        self.stats.reorder_delta += (before - self.vars.len()) as u64;
-        self.reorder_baseline = self.vars.len();
-        remap
-    }
-
-    /// Plain-izes edge `e` into the workspace: each reachable `(node,
-    /// parity)` pair becomes one complement-free node. `memo` holds one
-    /// extraction reference per entry (released by the caller).
-    fn extract_plain(&self, e: u32, ws: &mut SiftWorkspace, memo: &mut HashMap<u32, u32>) -> u32 {
-        if e == ONE {
-            return WS_ONE;
-        }
-        if e == ZERO {
-            return WS_ZERO;
-        }
-        if let Some(&n) = memo.get(&e) {
-            return n;
-        }
-        let i = (e >> 1) as usize;
-        let c = e & 1;
-        let l = self.extract_plain(self.los[i] ^ c, ws, memo);
-        let h = self.extract_plain(self.his[i] ^ c, ws, memo);
-        ws.incref(l);
-        ws.incref(h);
-        let n = ws.mk(self.vars[i], l, h);
-        memo.insert(e, n);
-        n
-    }
-
-    /// Resets the store and re-materializes the sifted workspace graph
-    /// under the new order (workspace var `w` lands at its final sift
-    /// level). Returns the root remap.
-    fn rebuild_from_workspace(&mut self, ws: &SiftWorkspace) -> BddRemap {
-        self.vars.clear();
-        self.los.clear();
-        self.his.clear();
-        self.vars.push(TERMINAL_VAR);
-        self.los.push(ONE);
-        self.his.push(ONE);
-        self.u_slots = vec![UNIQUE_EMPTY; UNIQUE_INITIAL_CAP];
-        self.u_old = Vec::new();
-        self.u_cursor = 0;
-        self.u_len = 0;
-        self.ite_cache.fill(ITE_EMPTY);
-        self.quant_gen = self.quant_gen.wrapping_add(1);
-
-        let mut new_edge: Vec<u32> = vec![REMAP_DEAD; ws.nodes.len()];
-        new_edge[WS_ZERO as usize] = ZERO;
-        new_edge[WS_ONE as usize] = ONE;
-        let saved = self.exempt;
-        self.exempt = true;
-        for level in (0..ws.var_at.len()).rev() {
-            let w = ws.var_at[level];
-            for n in 2..ws.nodes.len() {
-                let node = &ws.nodes[n];
-                if node.var != w || node.rc == 0 {
-                    continue;
-                }
-                let lo = new_edge[node.lo as usize];
-                let hi = new_edge[node.hi as usize];
-                debug_assert!(lo != REMAP_DEAD && hi != REMAP_DEAD, "children rebuilt first");
-                let e = self
-                    .mk(level as u32, lo, hi)
-                    .expect("exempt mk cannot exhaust");
-                new_edge[n] = e;
-            }
-        }
-        self.exempt = saved;
-        let mut edges: HashMap<u32, u32> = HashMap::new();
-        for &(old, wsn) in &ws.roots {
-            let ne = new_edge[wsn as usize];
-            edges.insert(old, ne);
-            edges.insert(old ^ 1, ne ^ 1);
-        }
-        BddRemap { kind: RemapKind::Edges(edges) }
-    }
 }
-
-/// Minimum store size before [`Bdd::should_reorder`] can fire.
-const REORDER_MIN_NODES: usize = 4096;
 
 /// Dead-node sentinel in a [`BddRemap`] index table.
 const REMAP_DEAD: u32 = u32::MAX;
 
-/// Workspace terminal indices (plain graph, two distinct terminals).
-const WS_ZERO: u32 = 0;
-const WS_ONE: u32 = 1;
-
-/// A handle translation returned by [`Bdd::gc`] and [`Bdd::reorder`].
+/// A handle translation returned by [`Bdd::gc`].
 ///
 /// After a GC, every pre-collection [`BddRef`] must be either remapped
-/// through this table or dropped; after a reorder, only the roots
-/// passed in (and their complements) are translatable — everything
-/// else is invalidated.
+/// through this table or dropped.
 #[derive(Clone, Debug)]
 pub struct BddRemap {
     kind: RemapKind,
@@ -1533,14 +1283,11 @@ enum RemapKind {
     /// Old node index → new node index (GC compaction), [`REMAP_DEAD`]
     /// for reclaimed nodes.
     Index(Vec<u32>),
-    /// Old packed edge → new packed edge (reorder), both parities.
-    Edges(HashMap<u32, u32>),
 }
 
 impl BddRemap {
-    /// Translates a pre-maintenance handle. `None` means the function
-    /// was not live (GC) or not a registered root (reorder) — the
-    /// caller must drop it.
+    /// Translates a pre-collection handle. `None` means the function
+    /// was not live — the caller must drop it.
     pub fn remap(&self, r: BddRef) -> Option<BddRef> {
         match &self.kind {
             RemapKind::Identity => Some(r),
@@ -1552,218 +1299,7 @@ impl BddRemap {
                     Some(BddRef((new << 1) | (r.0 & 1)))
                 }
             }
-            RemapKind::Edges(map) => map.get(&r.0).map(|&e| BddRef(e)),
         }
-    }
-}
-
-/// One node of the plain sifting workspace.
-#[derive(Clone, Copy)]
-struct WsNode {
-    /// Workspace variable id (the *pre-reorder level*); `u32::MAX` for
-    /// terminals and freed slots.
-    var: u32,
-    lo: u32,
-    hi: u32,
-    /// Incoming references (parents + root holds); 0 = free.
-    rc: u32,
-}
-
-/// A plain (complement-free) refcounted BDD arena used only during
-/// [`Bdd::reorder`]: per-variable hash-consing, adjacent-level swaps in
-/// place (node identities preserved so incoming edges stay valid), and
-/// a live-node counter as the sifting cost model. All sweeps iterate
-/// the arena in ascending index order, so the entire evolution — and
-/// therefore the chosen order — is deterministic.
-struct SiftWorkspace {
-    nodes: Vec<WsNode>,
-    free: Vec<u32>,
-    /// Per workspace-var hash-cons table keyed on `(lo, hi)`.
-    utab: Vec<HashMap<(u32, u32), u32>>,
-    /// Workspace var ↔ level permutation being sifted.
-    level_of: Vec<u32>,
-    var_at: Vec<u32>,
-    /// Live internal nodes (the cost model).
-    live: usize,
-    /// `(original packed edge, workspace node)` per requested root.
-    roots: Vec<(u32, u32)>,
-}
-
-impl SiftWorkspace {
-    fn new(levels: usize) -> Self {
-        let terminal = WsNode { var: u32::MAX, lo: 0, hi: 0, rc: 1 };
-        SiftWorkspace {
-            nodes: vec![terminal; 2],
-            free: Vec::new(),
-            utab: vec![HashMap::new(); levels],
-            level_of: (0..levels as u32).collect(),
-            var_at: (0..levels as u32).collect(),
-            live: 0,
-            roots: Vec::new(),
-        }
-    }
-
-    fn incref(&mut self, n: u32) {
-        if n >= 2 {
-            self.nodes[n as usize].rc += 1;
-        }
-    }
-
-    /// Releases one reference; a node hitting zero is freed and its
-    /// children released in turn.
-    fn deref(&mut self, n: u32) {
-        let mut stack = vec![n];
-        while let Some(n) = stack.pop() {
-            if n < 2 {
-                continue;
-            }
-            let node = &mut self.nodes[n as usize];
-            node.rc -= 1;
-            if node.rc > 0 {
-                continue;
-            }
-            let (var, lo, hi) = (node.var, node.lo, node.hi);
-            node.var = u32::MAX;
-            self.utab[var as usize].remove(&(lo, hi));
-            self.live -= 1;
-            self.free.push(n);
-            stack.push(lo);
-            stack.push(hi);
-        }
-    }
-
-    /// Finds-or-creates the plain node `(var, lo, hi)`. Consumes one
-    /// reference each of `lo` and `hi`; returns an owned reference.
-    fn mk(&mut self, var: u32, lo: u32, hi: u32) -> u32 {
-        if lo == hi {
-            self.deref(hi);
-            return lo;
-        }
-        if let Some(&n) = self.utab[var as usize].get(&(lo, hi)) {
-            self.incref(n);
-            self.deref(lo);
-            self.deref(hi);
-            return n;
-        }
-        let n = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = WsNode { var, lo, hi, rc: 1 };
-                slot
-            }
-            None => {
-                self.nodes.push(WsNode { var, lo, hi, rc: 1 });
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        self.utab[var as usize].insert((lo, hi), n);
-        self.live += 1;
-        n
-    }
-
-    /// Swaps the variables at levels `lev` and `lev + 1`. Nodes of the
-    /// upper variable that depend on the lower one are rewritten in
-    /// place (label flips to the lower variable, fresh children are
-    /// hash-consed at the new lower level); everything else only moves
-    /// logically.
-    fn swap(&mut self, lev: usize) {
-        let u = self.var_at[lev];
-        let v = self.var_at[lev + 1];
-        for n in 2..self.nodes.len() {
-            let node = self.nodes[n];
-            if node.var != u || node.rc == 0 {
-                continue;
-            }
-            let (l, h) = (node.lo, node.hi);
-            let l_at_v = l >= 2 && self.nodes[l as usize].var == v;
-            let h_at_v = h >= 2 && self.nodes[h as usize].var == v;
-            if !l_at_v && !h_at_v {
-                continue;
-            }
-            let (f00, f01) = if l_at_v {
-                (self.nodes[l as usize].lo, self.nodes[l as usize].hi)
-            } else {
-                (l, l)
-            };
-            let (f10, f11) = if h_at_v {
-                (self.nodes[h as usize].lo, self.nodes[h as usize].hi)
-            } else {
-                (h, h)
-            };
-            self.incref(f00);
-            self.incref(f10);
-            let n0 = self.mk(u, f00, f10);
-            self.incref(f01);
-            self.incref(f11);
-            let n1 = self.mk(u, f01, f11);
-            debug_assert_ne!(n0, n1, "a v-dependent node cannot lose both cofactor pairs");
-            self.utab[u as usize].remove(&(l, h));
-            let prev = self.utab[v as usize].insert((n0, n1), n as u32);
-            debug_assert!(prev.is_none(), "swap cannot collide with an existing v-node");
-            self.nodes[n].var = v;
-            self.nodes[n].lo = n0;
-            self.nodes[n].hi = n1;
-            self.deref(l);
-            self.deref(h);
-        }
-        self.var_at.swap(lev, lev + 1);
-        self.level_of[u as usize] = (lev + 1) as u32;
-        self.level_of[v as usize] = lev as u32;
-    }
-
-    /// The sifting driver: every populated variable, by descending node
-    /// count (ascending var id on ties), is swept to the bottom then the
-    /// top of the order and parked at the position minimizing total live
-    /// nodes (first minimum encountered wins; a sweep direction aborts
-    /// once the graph exceeds twice its pre-sift size).
-    fn sift(&mut self) {
-        let levels = self.var_at.len();
-        let mut candidates: Vec<(usize, u32)> =
-            (0..levels as u32).map(|w| (self.utab[w as usize].len(), w)).collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (count, w) in candidates {
-            if count == 0 {
-                continue;
-            }
-            self.sift_one(w as usize, levels);
-        }
-    }
-
-    fn sift_one(&mut self, w: usize, levels: usize) {
-        let initial = self.live;
-        let mut best = self.live;
-        let mut best_level = self.level_of[w] as usize;
-        let mut lev = best_level;
-        while lev + 1 < levels {
-            self.swap(lev);
-            lev += 1;
-            if self.live < best {
-                best = self.live;
-                best_level = lev;
-            }
-            if self.live > 2 * initial {
-                break;
-            }
-        }
-        while lev > 0 {
-            self.swap(lev - 1);
-            lev -= 1;
-            if self.live < best {
-                best = self.live;
-                best_level = lev;
-            }
-            if self.live > 2 * initial {
-                break;
-            }
-        }
-        while lev < best_level {
-            self.swap(lev);
-            lev += 1;
-        }
-        while lev > best_level {
-            self.swap(lev - 1);
-            lev -= 1;
-        }
-        debug_assert_eq!(self.live, best, "returning to the best position restores its size");
     }
 }
 
@@ -2366,119 +1902,16 @@ mod tests {
     }
 
     #[test]
-    fn reorder_shrinks_adversarial_order_and_normalizes_exports() {
-        let k = 9;
-        let mut b = Bdd::new(2 * k);
-        let f = blocked_pairs(&mut b, k);
-        let pre = b.export(f);
-        let remap = b.gc(&[f]);
-        let f = remap.remap(f).unwrap();
-        let before = b.node_count();
-        let remap = b.reorder(&[f]);
-        let f2 = remap.remap(f).expect("root survives reorder");
-        let after = b.node_count();
-        assert!(
-            (after as f64) <= 0.7 * before as f64,
-            "sifting must shrink the blocked order ≥30%: {before} -> {after}"
-        );
-        assert!(!b.current_order().iter().enumerate().all(|(l, &v)| l == v));
-        assert_eq!(b.export(f2), pre, "exports stay bit-identical across sifting");
-        b.check_invariants().expect("canonical store after reorder");
-        let s = b.stats();
-        assert_eq!(s.reorder_runs, 1);
-        assert_eq!(s.reorder_delta as usize, before - after);
-        // Semantics preserved on every assignment.
-        for m in 0..(1u64 << (2 * k)).min(1 << 12) {
-            let m = m.wrapping_mul(0x9E37_79B9_7F4A_7C15) & ((1 << (2 * k)) - 1);
-            let asn: Vec<bool> = (0..2 * k).map(|i| (m >> i) & 1 == 1).collect();
-            let expect = (0..k).any(|i| asn[i] && asn[k + i]);
-            assert_eq!(b.eval(f2, &asn), expect);
-        }
-    }
-
-    #[test]
-    fn reordered_manager_round_trips_ops_and_imports() {
-        let k = 6;
-        let mut b = Bdd::new(2 * k);
-        let f = blocked_pairs(&mut b, k);
-        let remap = b.reorder(&[f]);
-        let f = remap.remap(f).unwrap();
-        // Fresh ops under the permuted order still agree with an
-        // identity-ordered manager, compared via normalized exports.
-        let x0 = b.var(0);
-        let g = b.and(f, x0);
-        let e = b.exists(g, &[0, k]);
-        let r = b.restrict(f, 1, true);
-        let mut id = Bdd::new(2 * k);
-        let fi = blocked_pairs(&mut id, k);
-        let y0 = id.var(0);
-        let gi = id.and(fi, y0);
-        let ei = id.exists(gi, &[0, k]);
-        let ri = id.restrict(fi, 1, true);
-        assert_eq!(b.export(g), id.export(gi));
-        assert_eq!(b.export(e), id.export(ei));
-        assert_eq!(b.export(r), id.export(ri));
-        assert_eq!(b.sat_count(f), id.sat_count(fi));
-        assert_eq!(b.support(f), id.support(fi));
-        // Imports land on the same function in both managers.
-        let p = id.export(gi);
-        assert_eq!(b.import(&p), g, "import is canonical under a permuted order");
-        // pick/sample respect the permuted order's variable names.
-        let m = b.pick_sat(g).expect("satisfiable");
-        assert!(b.eval(g, &m));
-        let mut state = 0.37_f64;
-        let sample = b
-            .sample_sat(g, || {
-                state = (state * 9301.0 + 49297.0) % 233280.0 / 233280.0;
-                state
-            })
-            .expect("satisfiable");
-        assert!(b.eval(g, &sample));
-    }
-
-    #[test]
-    fn reorder_on_an_already_good_order_is_safe() {
-        let mut b = Bdd::new(6);
-        let x = b.var(0);
-        let y = b.var(3);
-        let f = b.xor(x, y);
-        let before = b.node_count();
-        let remap = b.reorder(&[f]);
-        let f2 = remap.remap(f).unwrap();
-        assert!(b.node_count() <= before);
-        assert_eq!(b.sat_count(f2), 32.0);
-        b.check_invariants().expect("canonical after a no-gain reorder");
-    }
-
-    #[test]
-    fn should_reorder_tracks_growth_against_the_baseline() {
-        let mut b = Bdd::new(20);
-        assert!(!b.should_reorder(), "a fresh manager is below the floor");
-        let f = blocked_pairs(&mut b, 10);
-        let fires_when_large = b.should_reorder();
-        let remap = b.gc(&[f]);
-        let f = remap.remap(f).unwrap();
-        if fires_when_large {
-            // After maintenance the baseline resets to the live size.
-            assert!(!b.should_reorder(), "GC resets the growth baseline");
-        }
-        let _ = f;
-    }
-
-    #[test]
     fn publishes_gc_and_store_metrics() {
         let _scope = tm_telemetry::Scope::enter();
         let mut b = Bdd::new(12);
         let f = blocked_pairs(&mut b, 4);
         let _junk = b.cube(&[(9, true), (10, false), (11, true)]);
-        let remap = b.gc(&[f]);
-        let f = remap.remap(f).unwrap();
-        let _ = b.reorder(&[f]);
+        let _ = b.gc(&[f]);
         b.publish_metrics();
         let snap = tm_telemetry::snapshot();
         assert_eq!(snap.counter("bdd.gc.runs"), Some(b.stats().gc_runs));
         assert_eq!(snap.counter("bdd.gc.reclaimed"), Some(b.stats().gc_reclaimed));
-        assert_eq!(snap.counter("bdd.reorder.runs"), Some(1));
         assert_eq!(snap.gauge("bdd.store.live"), Some(b.node_count() as f64));
         assert_eq!(snap.gauge("bdd.store.capacity"), Some(b.unique_capacity() as f64));
     }

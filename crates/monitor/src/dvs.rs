@@ -15,7 +15,6 @@ use tm_logic::Bdd;
 use tm_masking::{inject_and_measure, MaskedDesign};
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{Budget, Context, TmError, TmResult};
-use tm_sim::timing::TimingSim;
 use tm_spcf::{Algorithm, WarmSession};
 use tm_sta::Sta;
 
@@ -119,17 +118,10 @@ impl Default for DvsExplorer {
 }
 
 impl DvsExplorer {
-    /// Runs the sweep with the given workload vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TmError`] when the design is unprotected, the sweep
-    /// range is degenerate (including `v_min` at or below the model's
-    /// threshold voltage), or a workload vector has the wrong arity.
-    pub fn sweep(&self, design: &MaskedDesign, vectors: &[Vec<bool>]) -> TmResult<DvsSweep> {
-        if !design.is_protected() {
-            return Err(TmError::invalid_input("DVS exploration needs a protected design"));
-        }
+    /// Rejects a degenerate sweep range: `v_min` must lie below the
+    /// nominal supply and above the threshold voltage, and `v_step`
+    /// must be finite and positive.
+    fn check_range(&self) -> TmResult<()> {
         if !(self.v_min < self.model.v_nominal) {
             return Err(TmError::invalid_input("sweep range is empty"));
         }
@@ -145,6 +137,21 @@ impl DvsExplorer {
                 self.v_step
             )));
         }
+        Ok(())
+    }
+
+    /// Runs the sweep with the given workload vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TmError`] when the design is unprotected, the sweep
+    /// range is degenerate (including `v_min` at or below the model's
+    /// threshold voltage), or a workload vector has the wrong arity.
+    pub fn sweep(&self, design: &MaskedDesign, vectors: &[Vec<bool>]) -> TmResult<DvsSweep> {
+        if !design.is_protected() {
+            return Err(TmError::invalid_input("DVS exploration needs a protected design"));
+        }
+        self.check_range()?;
         let clock = self
             .clock
             .unwrap_or_else(|| Sta::new(&design.original).critical_path_delay());
@@ -244,21 +251,7 @@ impl DvsExplorer {
     /// Returns [`TmError`] when the sweep range is degenerate (same
     /// conditions as [`DvsExplorer::sweep`]).
     pub fn analytic_sweep(&self, netlist: &Netlist) -> TmResult<DvsAnalyticSweep> {
-        if !(self.v_min < self.model.v_nominal) {
-            return Err(TmError::invalid_input("sweep range is empty"));
-        }
-        if self.v_min <= self.model.v_threshold {
-            return Err(TmError::invalid_input(format!(
-                "v_min {} must exceed the threshold voltage {}",
-                self.v_min, self.model.v_threshold
-            )));
-        }
-        if !(self.v_step > 0.0) || !self.v_step.is_finite() {
-            return Err(TmError::invalid_input(format!(
-                "v_step must be finite and positive, got {}",
-                self.v_step
-            )));
-        }
+        self.check_range()?;
         let sta = Sta::new(netlist);
         let clock = self.clock.unwrap_or_else(|| sta.critical_path_delay());
 
@@ -293,25 +286,6 @@ impl DvsExplorer {
         }
         Ok(DvsAnalyticSweep { points, min_safe_unmasked })
     }
-}
-
-/// Evaluates an *unmasked* netlist at one supply (for baselines).
-pub fn unmasked_errors_at(
-    netlist: &tm_netlist::Netlist,
-    model: &VoltageModel,
-    vdd: f64,
-    clock: Delay,
-    vectors: &[Vec<bool>],
-) -> usize {
-    let factor = model.delay_factor(vdd);
-    let sim = TimingSim::with_scale(netlist, vec![factor; netlist.num_gates()]);
-    let mut errors = 0;
-    for pair in vectors.windows(2) {
-        if sim.transition(&pair[0], &pair[1], clock).has_error() {
-            errors += 1;
-        }
-    }
-    errors
 }
 
 #[cfg(test)]
@@ -350,6 +324,36 @@ mod tests {
         // Sanity: points are ordered and the nominal point is clean.
         assert_eq!(sweep.points[0].raw_errors, 0);
         assert_eq!(sweep.points[0].escapes, 0);
+    }
+
+    #[test]
+    fn degenerate_ranges_are_rejected_by_both_sweeps() {
+        let nl = comparator2(Arc::new(lsi10k_like()));
+        let design = synthesize(&nl, MaskingOptions::default()).design;
+        let vectors = random_vectors(4, 20, 7);
+        let base = DvsExplorer::default();
+        let degenerate = [
+            DvsExplorer { v_min: 1.0, ..base.clone() },
+            DvsExplorer { v_min: 1.2, ..base.clone() },
+            DvsExplorer { v_min: f64::NAN, ..base.clone() },
+            DvsExplorer { v_min: 0.3, ..base.clone() },
+            DvsExplorer { v_min: 0.1, ..base.clone() },
+            DvsExplorer { v_step: 0.0, ..base.clone() },
+            DvsExplorer { v_step: -0.01, ..base.clone() },
+            DvsExplorer { v_step: f64::NAN, ..base.clone() },
+            DvsExplorer { v_step: f64::INFINITY, ..base.clone() },
+        ];
+        for explorer in &degenerate {
+            let (v_min, v_step) = (explorer.v_min, explorer.v_step);
+            assert!(
+                explorer.sweep(&design, &vectors).is_err(),
+                "sweep accepted v_min {v_min}, v_step {v_step}"
+            );
+            assert!(
+                explorer.analytic_sweep(&nl).is_err(),
+                "analytic_sweep accepted v_min {v_min}, v_step {v_step}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt;
 /// Which budgeted resource ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// Unique-table nodes allocated by a [`tm_logic`-style] BDD manager.
+    /// Unique-table nodes allocated by a `tm_logic`-style BDD manager.
     BddNodes,
     /// Recursive apply/quantify steps (ITE cache misses and the like).
     Steps,

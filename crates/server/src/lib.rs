@@ -16,7 +16,7 @@
 //! - [`pool`]: [`pool::PooledSession`] (a circuit's netlist, BDD
 //!   manager, and warm SPCF state) and [`pool::SessionPool`] (strict
 //!   LRU keyed by an FNV-1a hash of the canonicalized BLIF).
-//! - [`serve`]: [`serve::ServeCore`], the transport-free request
+//! - [`mod@serve`]: [`serve::ServeCore`], the transport-free request
 //!   engine — verb dispatch, the degradation ladder as graceful
 //!   load-shedding, and the `STATS` aggregate.
 //! - [`net`]: the TCP front — acceptor, admission gate, worker pool,

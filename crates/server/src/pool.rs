@@ -102,15 +102,14 @@ impl PooledSession {
         self.state.points()
     }
 
-    /// Between-request watermark check: runs [`WarmState::maintain`]
+    /// Between-request watermark check: runs [`WarmState::gc`]
     /// when the manager's live store is at or above `watermark` nodes.
     /// Returns nodes reclaimed (0 when below the watermark). Publishes
-    /// the manager's counter deltas so `bdd.gc.*` / `bdd.reorder.*`
-    /// land in the serving thread's telemetry store (folded into the
-    /// `stats` verb).
+    /// the manager's counter deltas so `bdd.gc.*` lands in the serving
+    /// thread's telemetry store (folded into the `stats` verb).
     pub fn maybe_gc(&mut self, watermark: u64) -> u64 {
         if self.node_count() >= watermark {
-            let reclaimed = self.state.maintain(&mut self.bdd);
+            let reclaimed = self.state.gc(&mut self.bdd);
             self.bdd.publish_metrics();
             reclaimed as u64
         } else {
@@ -363,7 +362,7 @@ mod tests {
         let set1 =
             s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited());
         let export1: Vec<_> = set1.outputs.iter().map(|o| s.bdd().export(o.spcf)).collect();
-        // Watermark of 1 node always fires: GC + possible reorder.
+        // Watermark of 1 node always fires a GC.
         s.maybe_gc(1);
         let set2 =
             s.compute(Algorithm::ShortPath, &sta, target, Budget::unlimited());

@@ -91,8 +91,8 @@ pub struct ServeConfig {
     pub slow_threshold: Duration,
     /// Between-request GC watermark (`--gc-watermark`): after a request
     /// completes, a session whose live BDD store is at or above this
-    /// many nodes runs capacity maintenance (mark-and-sweep GC +
-    /// conditional reorder) under the `serve.pool` phase. `None`
+    /// many nodes runs a mark-and-sweep GC under the `serve.pool`
+    /// phase. `None`
     /// (default) leaves sessions append-only.
     pub gc_watermark: Option<u64>,
     /// Idle-session window (`--session-idle-ms`): sessions whose

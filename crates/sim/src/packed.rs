@@ -37,6 +37,9 @@
 //!   (initial input events in input order, reader events in reader
 //!   order), so same-instant supersessions resolve identically.
 //!
+//! [`TimingSim`]: crate::timing::TimingSim
+//! [`TimingSim::transition_with_sample_times`]: crate::timing::TimingSim::transition_with_sample_times
+//!
 //! # The compiled schedule
 //!
 //! Everything that does not depend on the vectors is compiled once per

@@ -287,13 +287,13 @@ impl LazyGlobals {
     }
 
     /// Appends every built global function to `roots` (the capacity
-    /// tier's GC/reorder root set; see DESIGN.md §14).
+    /// tier's GC root set; see DESIGN.md §14).
     pub fn collect_roots(&self, roots: &mut Vec<tm_logic::bdd::BddRef>) {
         roots.extend(self.refs.iter().flatten().copied());
     }
 
-    /// Rewrites every cached ref through `remap` after a GC or reorder
-    /// of the owning manager. Entries the remap dropped fall back to
+    /// Rewrites every cached ref through `remap` after a GC of the
+    /// owning manager. Entries the remap dropped fall back to
     /// `None` and rebuild lazily on the next query.
     pub fn remap_refs(&mut self, remap: &tm_logic::bdd::BddRemap) {
         for slot in &mut self.refs {

@@ -112,15 +112,15 @@ pub trait SpcfEngine {
     /// Appends every [`BddRef`] the engine holds across queries —
     /// stabilization-memo values, waveform breakpoints, on-time
     /// functions — to `roots`. The capacity tier (DESIGN.md §14) treats
-    /// these as GC/reorder roots: anything not reported here is fair
+    /// these as GC roots: anything not reported here is fair
     /// game for the sweep. Engines with no cross-query refs (the
     /// conservative engine) keep the no-op default.
     fn collect_roots(&self, roots: &mut Vec<BddRef>) {
         let _ = roots;
     }
 
-    /// Rewrites every held [`BddRef`] through `remap` after a GC,
-    /// compaction or reorder of the session manager. Refs the remap no
+    /// Rewrites every held [`BddRef`] through `remap` after a GC of
+    /// the session manager. Refs the remap no
     /// longer covers were not rooted and must be dropped, never kept
     /// stale — a stale packed ref aliases whatever node now occupies
     /// its index.
@@ -298,7 +298,7 @@ impl WarmState {
     /// exhausts: a resident engine that trips any budget (its memo
     /// carries earlier points' entries) is retried once as a fresh
     /// engine, and a trip of the manager's *node* budget is retried once
-    /// after one round of [`WarmState::maintain`] reclaims the dead
+    /// after one [`WarmState::gc`] reclaims the dead
     /// intermediates (refunding them to the budget, which charges the
     /// manager's current size). Every attempt installs its budget
     /// afresh, so step limits count only that attempt's steps
@@ -373,7 +373,7 @@ impl WarmState {
         match self.attempt(algorithm, sta, bdd, target, budget) {
             Err(e) if resident || e.resource == Resource::BddNodes => {
                 if e.resource == Resource::BddNodes {
-                    self.maintain(bdd);
+                    self.gc(bdd);
                 }
                 self.attempt(algorithm, sta, bdd, target, budget)
             }
@@ -465,51 +465,27 @@ impl WarmState {
         Ok(SpcfSet::new(engine.algorithm(), target, outputs, start.elapsed()))
     }
 
-    /// Every [`BddRef`] the state pins across points: the lazily built
+    /// Capacity recovery: a compacting mark-and-sweep of `bdd` rooted
+    /// at every ref the state pins across points — the lazily built
     /// global net functions plus whatever each resident engine reports
-    /// via [`SpcfEngine::collect_roots`].
-    fn capacity_roots(&self) -> Vec<BddRef> {
-        let mut roots = Vec::new();
-        self.globals.collect_roots(&mut roots);
-        for slot in self.slots.iter().flatten() {
-            slot.engine.collect_roots(&mut roots);
-        }
-        roots
-    }
-
-    /// Rewrites every cached ref through `remap`.
-    fn remap_refs(&mut self, remap: &BddRemap) {
-        self.globals.remap_refs(remap);
-        for slot in self.slots.iter_mut().flatten() {
-            slot.engine.remap_refs(remap);
-        }
-    }
-
-    /// Mark-and-sweep of `bdd` rooted at the state's live refs,
-    /// followed by store compaction; every cached ref is rewritten
-    /// through the index remap. Dead intermediates from past ladder
+    /// via [`SpcfEngine::collect_roots`] — and every cached ref is
+    /// rewritten through the remap. Dead intermediates from past ladder
     /// points are reclaimed and their node budget refunded (the manager
     /// charges allocations against its *current* size). Returns the
     /// number of nodes reclaimed.
     pub fn gc(&mut self, bdd: &mut Bdd) -> usize {
         let before = bdd.node_count();
-        let remap = bdd.gc(&self.capacity_roots());
-        self.remap_refs(&remap);
-        before - bdd.node_count()
-    }
-
-    /// Full capacity maintenance: GC, then Rudell sifting when the
-    /// store has outgrown the reorder heuristic
-    /// ([`Bdd::should_reorder`]). Returns total nodes reclaimed across
-    /// both passes.
-    pub fn maintain(&mut self, bdd: &mut Bdd) -> usize {
-        let before = bdd.node_count();
-        self.gc(bdd);
-        if bdd.should_reorder() {
-            let remap = bdd.reorder(&self.capacity_roots());
-            self.remap_refs(&remap);
+        let mut roots = Vec::new();
+        self.globals.collect_roots(&mut roots);
+        for slot in self.slots.iter().flatten() {
+            slot.engine.collect_roots(&mut roots);
         }
-        before.saturating_sub(bdd.node_count())
+        let remap = bdd.gc(&roots);
+        self.globals.remap_refs(&remap);
+        for slot in self.slots.iter_mut().flatten() {
+            slot.engine.remap_refs(&remap);
+        }
+        before - bdd.node_count()
     }
 }
 
@@ -551,8 +527,8 @@ impl<'n, 'c> WarmSession<'n, 'c> {
 
     /// The session's manager (for pattern counts, subset checks, …).
     /// Returned references stay valid until the next collection
-    /// ([`WarmSession::gc`], [`WarmSession::maintain`], or a
-    /// node-budget recovery inside [`WarmSession::try_retarget`]).
+    /// ([`WarmSession::gc`], or a node-budget recovery inside
+    /// [`WarmSession::try_retarget`]).
     pub fn bdd(&self) -> &Bdd {
         self.bdd
     }
@@ -565,11 +541,6 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     /// [`WarmState::gc`] on the session's manager.
     pub fn gc(&mut self) -> usize {
         self.state.gc(self.bdd)
-    }
-
-    /// [`WarmState::maintain`] on the session's manager.
-    pub fn maintain(&mut self) -> usize {
-        self.state.maintain(self.bdd)
     }
 
     /// Evaluates the SPCF of every output critical at `target` with the

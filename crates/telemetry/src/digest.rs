@@ -39,7 +39,7 @@ pub struct Digest {
 }
 
 /// The bucket index a value lands in. Indices are monotone in the
-/// value, exact below [`EXACT_LIMIT`], log-linear above.
+/// value, exact below `EXACT_LIMIT` (128), log-linear above.
 pub fn bucket_index(v: u64) -> u16 {
     if v < EXACT_LIMIT {
         return v as u16;

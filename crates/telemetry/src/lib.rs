@@ -5,7 +5,7 @@
 //!
 //! Five pieces:
 //!
-//! - [`span`]: a lightweight span facade. `span!("spcf.short_path")`
+//! - [`mod@span`]: a lightweight span facade. `span!("spcf.short_path")`
 //!   returns an RAII guard; a thread-local stack attributes monotonic
 //!   wall time hierarchically, so every span name accumulates call
 //!   count, *total* time (inclusive of children) and *self* time

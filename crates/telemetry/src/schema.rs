@@ -105,14 +105,12 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("serve.drain.requested", MetricKind::Counter),
     ("serve.drain.completed", MetricKind::Counter),
     ("serve.drain.forced", MetricKind::Counter),
-    // tm-logic capacity tier: mark-and-sweep GC, store compaction and
-    // Rudell sifting. `bdd.store.live` / `bdd.store.capacity` are the
-    // post-maintenance node count and unique-table slot count, the
-    // levels the warm-pool soak asserts stay flat.
+    // tm-logic capacity tier: compacting mark-and-sweep GC.
+    // `bdd.store.live` / `bdd.store.capacity` are the post-GC node
+    // count and unique-table slot count, the levels the warm-pool soak
+    // asserts stay flat.
     ("bdd.gc.runs", MetricKind::Counter),
     ("bdd.gc.reclaimed", MetricKind::Counter),
-    ("bdd.reorder.runs", MetricKind::Counter),
-    ("bdd.reorder.delta", MetricKind::Counter),
     ("bdd.store.live", MetricKind::Gauge),
     ("bdd.store.capacity", MetricKind::Gauge),
     // tm-server pool idle eviction (`--session-idle-ms`).

@@ -63,6 +63,8 @@
 #    Its self-test must see an injected 50 ns spin trip the same check.
 #    (The exact work-count pins, `tm-bench`'s `work_counts` test, run
 #    with the workspace tests in stage 2.)
+# 14. Rustdoc: the workspace docs build with warnings as errors, so
+#    broken or private intra-doc links (e.g. to a deleted API) fail CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -272,5 +274,8 @@ cargo test --release --offline -p tm-masking --test replay_differential -- --ign
 echo "== dormant-site check (paired in-process A/B, release) =="
 unset TM_TRACE TM_FAULTS TM_FAULTS_SEED
 cargo test --release --offline -p tm-bench --test dormant_sites -- --ignored --nocapture
+
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "CI OK"
